@@ -4,8 +4,7 @@ The toolkit computes path combinatorics and ideal lattices, builds blow-up
 graphs and their inclusions, decides symbolic relation equalities exactly,
 realizes generators on truncated path spaces, presents K-theory by Smith
 normal form, and applies the classification rules for nuclear-dimension
-bounds.  Everything numeric is exact rational unless explicitly a float
-norm estimate.
+bounds.  Everything numeric is exact rational.
 """
 
 from .classify import IdealReport, Verdict, classify, ideal_report, purely_infinite

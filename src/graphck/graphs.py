@@ -135,7 +135,7 @@ class DirectedGraph:
         self.tail_truncated = tail_truncated
         self._vindex: dict[Vertex, int] = {}
         for i, v in enumerate(self.vertices):
-            if v in self._vindex or any(w.id == v.id for w in self._vindex):
+            if v in self._vindex:  # Vertex compares by id
                 raise ContractViolation(f"duplicate vertex id {v.id}")
             self._vindex[v] = i
         self._eindex: dict[Edge, int] = {}

@@ -5,13 +5,21 @@ creation: appending an edge to a top-shell path gives zero instead of a longer
 path, while co-isometries and diagonal projections are exact everywhere.
 Every operator therefore carries a bound on its creation factors, and exact
 identities are asserted on the columns indexed by paths of length
-<= N - creations, where nothing has been lost.  A built representation is
-immutable and all operations are pure, so independent scans parallelize.
+<= N - creations, where nothing has been lost.  The basis is sorted by
+length, so that exact region is a prefix of basis indices.
+
+The 0/1 operators -- generators, T_mu, words T_alpha T_beta*, path
+projections, matrix units and window projections -- are partial injections
+of basis paths.  Each is built from an index map (column -> row) composed
+from the edge maps T_e: i(p) -> i(e p), never by a matrix product; only
+weighted sums carry rational entries.  A built representation is immutable
+and all operations are pure, so independent scans parallelize.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -65,83 +73,125 @@ class RepOperator:
         return RepOperator(self.matrix.star(), self.star_creations, self.creations)
 
 
-class TruncatedRep:
-    """Concrete generators on the span of paths of length at most N."""
+def _basis_bound(max_basis: int | None) -> tuple[int, str]:
+    """The basis-size bound and the knob that sets it: an explicit argument
+    wins over GRAPHCK_MAX_BASIS, which wins over the default."""
+    if max_basis is not None:
+        return max_basis, "max_basis"
+    env = os.environ.get("GRAPHCK_MAX_BASIS")
+    if not env:
+        return DEFAULT_MAX_BASIS, "GRAPHCK_MAX_BASIS"
+    try:
+        return int(env), "GRAPHCK_MAX_BASIS"
+    except ValueError:
+        raise ContractViolation(
+            f"GRAPHCK_MAX_BASIS must be an integer, got {env!r}") from None
 
-    def __init__(self, graph: DirectedGraph, cutoff: int, max_basis: int = DEFAULT_MAX_BASIS):
+
+def _injection(n: int, cmap: dict[int, int]) -> RatMatrix:
+    """The 0/1 matrix sending column c to row cmap[c]."""
+    m = RatMatrix(n, n)
+    m.rows = {r: {c: 1} for c, r in cmap.items()}
+    return m
+
+
+class TruncatedRep:
+    """Concrete generators on the span of paths of length at most N.
+
+    The basis is built layer by layer, so it is sorted by length: `offsets[L]`
+    is the index of the first path of length L (`offsets[cutoff + 1]` is the
+    dimension).  The one-edge extensions of a path are contiguous, in the
+    order of `out_edges` of its range, which gives the edge maps by index
+    arithmetic alone.
+    """
+
+    def __init__(self, graph: DirectedGraph, cutoff: int, max_basis: int | None = None):
         if cutoff < 1:
             raise ContractViolation("cutoff must be positive")
-        env = os.environ.get("GRAPHCK_MAX_BASIS")
-        if env:
-            max_basis = int(env)
+        bound, knob = _basis_bound(max_basis)
         self.graph = graph
         self.cutoff = cutoff
-        self.basis: list[Path] = []
-        layer = [Path.at(v) for v in graph.vertices]
-        for _ in range(cutoff + 1):
-            self.basis.extend(layer)
-            if len(self.basis) > max_basis:
+        basis = [Path.at(v) for v in graph.vertices]
+        parent = [-1] * len(basis)
+        last: list[Edge | None] = [None] * len(basis)
+        source = list(graph.vertices)
+        first_child: list[int] = []  # index of the first one-edge extension
+        offsets = [0]
+        for length in range(cutoff + 1):
+            start = offsets[-1]
+            offsets.append(len(basis))
+            if len(basis) > bound:
                 raise ResourceLimit(
-                    f"basis exceeds {max_basis} paths; lower the cutoff or raise "
-                    "GRAPHCK_MAX_BASIS")
-            layer = [p * Path((e,)) for p in layer for e in graph.out_edges(p.range)]
-        self.index: dict[Path, int] = {p: i for i, p in enumerate(self.basis)}
-        n = len(self.basis)
-        self._t: dict[Edge, RatMatrix] = {}
+                    f"truncated basis has {len(basis)} paths of length <= {length}, over "
+                    f"the bound {bound}; lower the cutoff or raise {knob}")
+            if length == cutoff:
+                break
+            for i in range(start, len(basis)):
+                p = basis[i]
+                first_child.append(len(basis))
+                for e in graph.out_edges(p.range):
+                    basis.append(Path(p.edges + (e,)))
+                    parent.append(i)
+                    last.append(e)
+                    source.append(source[i])
+        self.basis: list[Path] = basis
+        self.offsets: list[int] = offsets
+        self.index: dict[Path, int] = {p: i for i, p in enumerate(basis)}
+        # basis indices of the paths starting at each vertex, ascending
+        self._from: dict[Vertex, list[int]] = {v: [] for v in graph.vertices}
+        for i, v in enumerate(source):
+            self._from[v].append(i)
+        # T_e on the paths p from r(e) shorter than the cutoff, by index
+        # recursion e(p'f) = (e p')f; a parent precedes its children
+        pos = {e: k for v in graph.vertices for k, e in enumerate(graph.out_edges(v))}
+        top = offsets[cutoff]
         self._tmap: dict[Edge, dict[int, int]] = {}
         for e in graph.edges:
-            m = RatMatrix(n, n)
-            cmap: dict[int, int] = {}
-            for p, i in self.index.items():
-                if e.range == p.source and len(p) + 1 <= cutoff:
-                    j = self.index[Path((e,)) * p]
-                    m.rows.setdefault(j, {})[i] = Fraction(1)
-                    cmap[i] = j
-            self._t[e] = m
+            domain = self._from[e.range]
+            cmap = {domain[0]: first_child[graph.vertex_index(e.source)] + pos[e]}
+            for i in domain[1:bisect_left(domain, top)]:
+                cmap[i] = first_child[cmap[parent[i]]] + pos[last[i]]
             self._tmap[e] = cmap
-        self._q: dict[Vertex, RatMatrix] = {}
-        for v in graph.vertices:
-            m = RatMatrix(n, n)
-            for p, i in self.index.items():
-                if p.source == v:
-                    m.rows.setdefault(i, {})[i] = Fraction(1)
-            self._q[v] = m
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def t(self, e: Edge) -> RepOperator:
-        return RepOperator(self._t[e], 1, 0)
+        return RepOperator(_injection(self.dimension, self._tmap[e]), 1, 0)
 
     def q(self, v: Vertex) -> RepOperator:
-        return RepOperator(self._q[v], 0, 0)
+        return RepOperator(_injection(self.dimension, {i: i for i in self._from[v]}), 0, 0)
 
-    def t_path(self, mu: Path) -> RepOperator:
-        """T_mu: column xi_tau -> row xi_{mu tau}, composed from edge maps."""
-        n = self.dimension
+    def _path_map(self, mu: Path) -> dict[int, int]:
+        """T_mu as column -> row: i(tau) -> i(mu tau), composed from edge maps."""
         if not mu.edges:
-            return RepOperator(self._q[mu.base], 0)
+            return {i: i for i in self._from[mu.base]}
         mapping = self._tmap[mu.edges[-1]]
         for e in reversed(mu.edges[:-1]):
             step = self._tmap[e]
             mapping = {c: step[r] for c, r in mapping.items() if r in step}
-        m = RatMatrix(n, n)
-        one = Fraction(1)
-        for c, r in mapping.items():
-            m.rows.setdefault(r, {})[c] = one
-        return RepOperator(m, len(mu), 0)
+        return mapping
+
+    def _word_map(self, alpha: Path, beta: Path) -> dict[int, int]:
+        """T_alpha T_beta* as column -> row: i(beta tau) -> i(alpha tau)."""
+        a = self._path_map(alpha)
+        b = self._path_map(beta)
+        return {b[c]: r for c, r in a.items() if c in b}
+
+    def t_path(self, mu: Path) -> RepOperator:
+        """T_mu: column xi_tau -> row xi_{mu tau}."""
+        return RepOperator(_injection(self.dimension, self._path_map(mu)), len(mu), 0)
 
     def word_operator(self, alpha: Path, beta: Path) -> RepOperator:
         """T_alpha T_beta*, with the tight length-shift creation bounds."""
-        mat = self.t_path(alpha).matrix * self.t_path(beta).matrix.star()
-        return RepOperator(mat, max(0, len(alpha) - len(beta)),
-                           max(0, len(beta) - len(alpha)))
+        return RepOperator(_injection(self.dimension, self._word_map(alpha, beta)),
+                           max(0, len(alpha) - len(beta)), max(0, len(beta) - len(alpha)))
 
-    def exact_columns(self, creations: int) -> list[int]:
-        """Basis indices on which operators with this creation bound are exact."""
-        limit = self.cutoff - creations
-        return [i for i, p in enumerate(self.basis) if len(p) <= limit]
+    def exact_columns(self, creations: int) -> range:
+        """Basis indices on which operators with this creation bound are exact:
+        the paths of length <= cutoff - creations."""
+        return range(self.offsets[max(0, self.cutoff - creations + 1)])
 
     def equal_on_exact_region(self, a: RepOperator, b: RepOperator) -> bool:
         k = max(a.creations, b.creations)
@@ -155,49 +205,56 @@ class TruncatedRep:
         """Matrix of a formal sum; words must be untensored."""
         if s.graph != self.graph:
             raise ContractViolation("formal sum lives over a different graph")
-        n = self.dimension
-        total = RatMatrix(n, n)
+        rows: dict[int, dict[int, Fraction]] = {}
         creations = 0
         star_creations = 0
         for w, c in s.terms.items():
             if w.unit is not None:
                 raise ContractViolation("tensored words have no truncated-representation matrix")
-            op = self.word_operator(w.alpha, w.beta)
-            total = total + op.matrix.scale(c)
-            creations = max(creations, op.creations)
-            star_creations = max(star_creations, op.star_creations)
+            for col, row in self._word_map(w.alpha, w.beta).items():
+                dst = rows.setdefault(row, {})
+                dst[col] = dst.get(col, 0) + c
+            creations = max(creations, len(w.alpha) - len(w.beta))
+            star_creations = max(star_creations, len(w.beta) - len(w.alpha))
+        total = RatMatrix(self.dimension, self.dimension)
+        for i, row in rows.items():
+            kept = {j: v for j, v in row.items() if v}
+            if kept:
+                total.rows[i] = kept
         return RepOperator(total, creations, star_creations)
 
 
-def build_rep(g: DirectedGraph, cutoff: int, max_basis: int = DEFAULT_MAX_BASIS) -> TruncatedRep:
+def build_rep(g: DirectedGraph, cutoff: int, max_basis: int | None = None) -> TruncatedRep:
     return TruncatedRep(g, cutoff, max_basis)
 
 
+def _unit(rep: TruncatedRep, mu: Path, nu: Path) -> RatMatrix:
+    """e_{mu,nu}, or zero when a leg is not a basis path."""
+    m = RatMatrix(rep.dimension, rep.dimension)
+    i, j = rep.index.get(mu), rep.index.get(nu)
+    if i is not None and j is not None:
+        m.rows[i] = {j: 1}
+    return m
+
+
 def path_projection(rep: TruncatedRep, mu: Path) -> RepOperator:
-    """Range projection of mu minus its one-edge extensions; on the exact
-    region this is the rank-one projection onto the basis vector of mu."""
+    """Range projection of mu minus its one-edge extensions, which is exactly
+    the rank-one projection e_{mu,mu}: the two prefix projections agree off
+    the basis vector of mu, so no truncation error survives anywhere."""
     if len(mu) + 1 > rep.cutoff:
         raise ContractViolation(
             f"path projection needs |mu|+1 <= cutoff, got |mu|={len(mu)}, cutoff={rep.cutoff}")
-    tm = rep.t_path(mu)
-    out = tm * tm.star()
-    for e in rep.graph.out_edges(mu.range):
-        ext = rep.t_path(mu * Path((e,)))
-        out = out - ext * ext.star()
-    # the two prefix projections cancel exactly off the single basis vector,
-    # so no truncation error survives anywhere
-    return RepOperator(out.matrix, 0, 0)
+    return RepOperator(_unit(rep, mu, mu), 0, 0)
 
 
 def matrix_unit(rep: TruncatedRep, mu: Path, nu: Path) -> RepOperator:
-    """T_mu Delta_{r(mu)} T_nu*, the (mu, nu) matrix unit."""
+    """T_mu Delta_{r(mu)} T_nu*, the (mu, nu) matrix unit e_{mu,nu}; zero when
+    a leg is longer than the cutoff.  Exact everywhere: the only column it
+    does not kill is the basis vector of nu."""
     if mu.range != nu.range:
         raise ContractViolation(
             f"matrix unit needs matching ranges: {mu.id} vs {nu.id}")
-    d = path_projection(rep, Path.at(mu.range))
-    op = rep.t_path(mu) * d * rep.t_path(nu).star()
-    # exact everywhere: the only surviving column is the basis vector of nu
-    return RepOperator(op.matrix, max(0, len(mu) - len(nu)),
+    return RepOperator(_unit(rep, mu, nu), max(0, len(mu) - len(nu)),
                        max(0, len(nu) - len(mu)))
 
 
@@ -224,13 +281,11 @@ def check_matrix_units(rep: TruncatedRep, p: int) -> bool:
 
 
 def window_projection(rep: TruncatedRep, m: int) -> RepOperator:
-    """Sum of the path projections over all paths of length < m."""
-    if m > rep.cutoff:
-        raise ContractViolation(f"need m <= cutoff, got m={m}, cutoff={rep.cutoff}")
-    total = RatMatrix(rep.dimension, rep.dimension)
-    for mu in paths(rep.graph, 0, m):
-        total = total + path_projection(rep, mu).matrix
-    return RepOperator(total, 0, 0)
+    """Sum of the path projections over all paths of length < m: the
+    identity on the basis prefix of those paths."""
+    if not 0 <= m <= rep.cutoff:
+        raise ContractViolation(f"need 0 <= m <= cutoff, got m={m}, cutoff={rep.cutoff}")
+    return RepOperator(_injection(rep.dimension, {i: i for i in range(rep.offsets[m])}), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -297,16 +352,18 @@ def _windowed_sum(rep: TruncatedRep, m: int, shift: int, mu: Path, nu: Path) -> 
         raise ContractViolation(
             f"cutoff {rep.cutoff} too small for window [{shift},{shift + m})")
     kappa = kappa_matrix(m)
-    total = RatMatrix(rep.dimension, rep.dimension)
     t_lo = max(0, shift - min(a, b))
     t_hi = max(t_lo, shift + m - max(a, b))
-    for t in range(t_lo, t_hi):
-        for tau in paths_from(rep.graph, mu.range, t):
-            c = kappa.entry0(a + t - shift, b + t - shift)
-            if not c:
-                continue
-            unit = matrix_unit(rep, mu * tau, nu * tau)
-            total = total + unit.matrix.scale(c)
+    weights = {t: kappa.entry0(a + t - shift, b + t - shift) for t in range(t_lo, t_hi)}
+    # e_{mu tau, nu tau} for each extension tau: the word map T_mu T_nu*
+    # restricted to the columns nu tau with |tau| in [t_lo, t_hi)
+    mu_map = rep._path_map(mu)
+    nu_map = rep._path_map(nu)
+    total = RatMatrix(rep.dimension, rep.dimension)
+    for tau, row in mu_map.items():
+        c = weights.get(len(rep.basis[tau]))
+        if c and tau in nu_map:
+            total.rows[row] = {nu_map[tau]: c}
     return RepOperator(total, max(0, a - b), max(0, b - a))
 
 

@@ -1,16 +1,16 @@
 """Sparse matrices over exact rationals, sized for desk-scale operator work.
 
-Row-major dict-of-dicts storage; entries are Fractions (plain ints are fine
-too, the numeric tower keeps results exact).  Norm estimation is the only
-place floats appear, and it is clearly separated.
+Row-major dict-of-dicts storage; entries are Fractions or plain ints (the
+numeric tower keeps results exact).  The 0/1 operators of the truncated
+representation are partial injections of basis vectors, stored with int 1
+entries, one per row and column; weighted sums carry Fractions.  No floats
+appear anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 
 class RatMatrix:
@@ -27,10 +27,6 @@ class RatMatrix:
                     self.rows.setdefault(i, {})[j] = v
 
     @staticmethod
-    def zero(nrows: int, ncols: int) -> "RatMatrix":
-        return RatMatrix(nrows, ncols)
-
-    @staticmethod
     def identity(n: int) -> "RatMatrix":
         m = RatMatrix(n, n)
         for i in range(n):
@@ -39,16 +35,6 @@ class RatMatrix:
 
     def get(self, i: int, j: int) -> Fraction:
         return self.rows.get(i, {}).get(j, Fraction(0))
-
-    def set(self, i: int, j: int, v) -> None:
-        if v:
-            self.rows.setdefault(i, {})[j] = Fraction(v)
-        else:
-            row = self.rows.get(i)
-            if row:
-                row.pop(j, None)
-                if not row:
-                    del self.rows[i]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -127,33 +113,18 @@ class RatMatrix:
     # all matrices here have rational entries, so adjoint == transpose
     star = transpose
 
-    def restrict_columns(self, cols: Iterable[int]) -> "RatMatrix":
-        """Zero out every column outside cols (same shape)."""
-        keep = set(cols)
-        out = RatMatrix(self.nrows, self.ncols)
-        for i, row in self.rows.items():
-            kept = {j: v for j, v in row.items() if j in keep}
-            if kept:
-                out.rows[i] = kept
-        return out
-
     def equal_on_columns(self, other: "RatMatrix", cols: Iterable[int]) -> bool:
+        """Equal entries in every column of cols; one pass over the stored
+        entries of both matrices."""
         self._shape_check(other)
-        keep = list(cols)
-        for i in set(self.rows) | set(other.rows):
-            a = self.rows.get(i, {})
-            b = other.rows.get(i, {})
-            for j in keep:
-                if a.get(j, 0) != b.get(j, 0):
-                    return False
+        keep = cols if isinstance(cols, (range, set, frozenset)) else set(cols)
+        for a, b in ((self.rows, other.rows), (other.rows, self.rows)):
+            for i, row in a.items():
+                brow = b.get(i, {})
+                for j, v in row.items():
+                    if j in keep and brow.get(j, 0) != v:
+                        return False
         return True
-
-    def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out[i, j] = float(v)
-        return out
 
     def _shape_check(self, other: "RatMatrix") -> None:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -168,24 +139,3 @@ class RatMatrix:
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
-
-def operator_norm(mat: RatMatrix | np.ndarray, iterations: int = 200) -> float:
-    """Double-precision spectral norm; dense SVD below dimension 2000,
-    power iteration on A*A above."""
-    a = mat.to_numpy() if isinstance(mat, RatMatrix) else np.asarray(mat, dtype=float)
-    if max(a.shape) <= 2000:
-        return float(np.linalg.norm(a, 2)) if a.size else 0.0
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(a.shape[1])
-    x /= np.linalg.norm(x)
-    last = 0.0
-    for _ in range(iterations):
-        y = a.T @ (a @ x)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        x = y / norm
-        if abs(norm - last) < 1e-12 * max(1.0, norm):
-            break
-        last = norm
-    return float(np.sqrt(norm))

@@ -59,6 +59,11 @@ def test_paths_deterministic_order():
     assert ids == ["v", "e", "f", "e.e", "e.f", "f.e", "f.f"]
 
 
+def test_duplicate_vertex_id_rejected():
+    with pytest.raises(ContractViolation, match="duplicate vertex id a"):
+        G.DirectedGraph([G.Vertex("a"), G.Vertex("a")], [])
+
+
 def test_paths_bad_range():
     with pytest.raises(ContractViolation):
         G.paths(two_loop(), 3, 2)

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 import graphck as G
-from graphck.errors import ContractViolation
+from graphck.errors import ContractViolation, GraphckError, ResourceLimit
 from graphck.graphs import Path, paths, paths_from
 from graphck.rep import (KappaMatrix, compression_route, schur_multiply,
                          schur_via_projections)
-from graphck.sparse import RatMatrix, operator_norm
+from graphck.sparse import RatMatrix
 from graphck.symbolic import Word, iota_path_image, path_isometry, vertex_projection
 
+import rep_oracles
 from conftest import (REP_CORPUS, mixed_m, single_edge, single_loop, two_cycle,
                       two_loop)
+from rep_oracles import operator_norm
 
 
 def test_build_rep_two_loop_basis():
@@ -31,6 +33,71 @@ def test_build_rep_single_edge():
     te = rep.t(g.edge("e"))
     iw, ie = rep.index[Path.at(g.vertex("w"))], rep.index[Path((g.edge("e"),))]
     assert te.matrix.get(ie, iw) == 1 and te.matrix.nnz() == 1
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
+@pytest.mark.parametrize("shape", sorted(REP_CORPUS))
+def test_direct_operators_match_composed_oracles(shape, cutoff):
+    """Every operator built from index maps equals its composed construction
+    on the whole matrix, creation bounds included, not only on the exact
+    region; legs one longer than the cutoff give zero matrix units."""
+    g = REP_CORPUS[shape]()
+    rep = G.build_rep(g, cutoff)
+
+    def same(direct, oracle):
+        return (direct.matrix == oracle.matrix and direct.creations == oracle.creations
+                and direct.star_creations == oracle.star_creations)
+
+    for e in g.edges:
+        assert same(rep.t(e), rep_oracles.edge_operator(rep, e)), e
+    for v in g.vertices:
+        assert same(rep.q(v), rep_oracles.vertex_operator(rep, v)), v
+    legs = list(paths(g, 0, 3)) + list(paths(g, cutoff, cutoff + 2))[:6]
+    for mu in legs:
+        assert same(rep.t_path(mu), rep_oracles.t_path(rep, mu)), mu
+        if len(mu) + 1 <= cutoff:
+            assert same(G.path_projection(rep, mu), rep_oracles.path_projection(rep, mu)), mu
+    for mu in legs:
+        for nu in legs:
+            assert same(rep.word_operator(mu, nu), rep_oracles.word_operator(rep, mu, nu))
+            if mu.range == nu.range:
+                assert same(G.matrix_unit(rep, mu, nu),
+                            rep_oracles.matrix_unit(rep, mu, nu)), (mu, nu)
+    for m in range(0, cutoff + 1):
+        assert same(G.window_projection(rep, m), rep_oracles.window_projection(rep, m)), m
+
+
+def test_max_basis_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "abc")
+    with pytest.raises(GraphckError, match="GRAPHCK_MAX_BASIS"):
+        G.build_rep(two_loop(), 3)
+
+
+def test_explicit_max_basis_wins_over_env(monkeypatch):
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "5")
+    assert G.build_rep(two_loop(), 3, max_basis=100).dimension == 15
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "1000")
+    with pytest.raises(ResourceLimit):
+        G.build_rep(two_loop(), 3, max_basis=5)
+    assert G.build_rep(two_loop(), 3).dimension == 15
+
+
+def test_max_basis_message_names_bound_size_and_knob(monkeypatch):
+    # the two-loop basis grows 1, 3, 7, 15: the layer of length 3 crosses 10
+    with pytest.raises(ResourceLimit) as err:
+        G.build_rep(two_loop(), 3, max_basis=10)
+    msg = str(err.value)
+    assert "15 paths" in msg and "bound 10" in msg and "max_basis" in msg
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "10")
+    with pytest.raises(ResourceLimit, match="raise GRAPHCK_MAX_BASIS"):
+        G.build_rep(two_loop(), 3)
+
+
+def test_max_basis_counts_the_vertex_layer():
+    g = G.DirectedGraph.build(["u", "v", "w"])
+    with pytest.raises(ResourceLimit, match="3 paths of length <= 0"):
+        G.build_rep(g, 1, max_basis=2)
+    assert G.build_rep(g, 1, max_basis=3).dimension == 3
 
 
 def test_vertex_projections_sum_to_identity():
@@ -142,6 +209,9 @@ def test_window_projection_examples():
     assert sum(diag) == 3 and set(diag) <= {0, 1}
     fixed = {rep2.basis[i].id for i, d in enumerate(diag) if d}
     assert fixed == {"v", "e", "f"}
+    for m in (-1, 7):
+        with pytest.raises(ContractViolation):
+            G.window_projection(rep2, m)
 
 
 def test_phi_compression_display():
