@@ -17,7 +17,7 @@ from .graphs import (DirectedGraph, Edge, Path, Vertex, adjacency_matrix,
                      every_vertex_connects_to_cycle, first_return_paths,
                      hereditary_saturated_closure, is_acyclic, paths,
                      quotient_graph, restriction_graph, satisfies_condition_K,
-                     sinks)
+                     satisfies_condition_L, sinks)
 from .ktheory import (KTheoryResult, SmithDecomposition,
                       graph_k_theory, induced_endomorphism_matrix,
                       smith_normal_form, verify_multiplication_by_m,

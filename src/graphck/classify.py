@@ -13,7 +13,7 @@ from .graphs import (DirectedGraph, Vertex, cycle_vertices,
                      enumerate_hereditary_saturated,
                      every_vertex_connects_to_cycle, is_acyclic,
                      quotient_graph, restriction_graph,
-                     satisfies_condition_K)
+                     satisfies_condition_K, satisfies_condition_L)
 
 CITE_AF = "graph algebras of acyclic graphs are approximately finite dimensional: nuclear dimension 0"
 CITE_PI_FINITE = ("a purely infinite graph algebra with finitely many ideals has "
@@ -64,7 +64,7 @@ class Verdict:
         }
 
 
-def classify(g: DirectedGraph, max_vertices: int = 20) -> Verdict:
+def classify(g: DirectedGraph) -> Verdict:
     """Apply the decision rules in order and return the combined bounds."""
     verdict = Verdict()
     if is_acyclic(g):
@@ -72,13 +72,10 @@ def classify(g: DirectedGraph, max_vertices: int = 20) -> Verdict:
         verdict.fire("R0", CITE_AF)
         return verdict
 
-    has_k = satisfies_condition_K(g)
-    connects = every_vertex_connects_to_cycle(g)
-
-    if has_k and connects:
+    lattice = enumerate_hereditary_saturated(g)
+    if satisfies_condition_K(g) and every_vertex_connects_to_cycle(g):
         # finite graph with Condition (K): the gauge-invariant lattice is the
         # whole ideal lattice and it is finite
-        lattice = enumerate_hereditary_saturated(g, max_vertices)
         verdict.lower = verdict.upper = 1
         verdict.fire("R1", CITE_PI_FINITE,
                      ideal_lattice=[sorted(v.id for v in h) for h in lattice])
@@ -90,21 +87,14 @@ def classify(g: DirectedGraph, max_vertices: int = 20) -> Verdict:
     # finite graph, Condition (K) already certifies a finite ideal lattice,
     # so R1 consumes every purely infinite case.
 
-    for h in enumerate_hereditary_saturated(g, max_vertices):
-        if not h:
-            continue
-        ideal_piece = restriction_graph(g, h)
-        quot_piece = quotient_graph(g, h)
-        if purely_infinite(ideal_piece) and is_acyclic(quot_piece):
-            verdict.upper = 2
-            witness = {"ideal_vertices": sorted(v.id for v in h)}
-            if satisfies_condition_K(ideal_piece):
-                # finitely many ideals inside the ideal piece
-                verdict.lower = verdict.upper = 1
-                witness["ideal_lattice"] = [
-                    sorted(v.id for v in s)
-                    for s in enumerate_hereditary_saturated(ideal_piece, max_vertices)]
-            verdict.fire("R3", CITE_QD_EXT, **witness)
+    for h in lattice:
+        if h and purely_infinite(restriction_graph(g, h)) and is_acyclic(quotient_graph(g, h)):
+            # the ideal piece has Condition (K), so finitely many ideals; as h
+            # is saturated, its lattice is the part of ours inside h
+            verdict.lower = verdict.upper = 1
+            verdict.fire("R3", CITE_QD_EXT,
+                         ideal_vertices=sorted(v.id for v in h),
+                         ideal_lattice=[sorted(v.id for v in s) for s in lattice if s <= h])
             break
 
     if cycle_vertices(g):
@@ -144,10 +134,10 @@ class IdealReport:
         }
 
 
-def ideal_report(g: DirectedGraph, max_vertices: int = 20) -> IdealReport:
+def ideal_report(g: DirectedGraph) -> IdealReport:
     """List the gauge-invariant ideal lattice with per-set diagnostics."""
     has_k = satisfies_condition_K(g)
-    sets = enumerate_hereditary_saturated(g, max_vertices)
+    sets = enumerate_hereditary_saturated(g)
     entries = []
     for h in sets:
         entries.append(IdealEntry(
@@ -159,5 +149,5 @@ def ideal_report(g: DirectedGraph, max_vertices: int = 20) -> IdealReport:
     if not has_k:
         warning = ("Condition (K) fails: ideals that are not gauge-invariant may "
                    "exist, so this lattice can be a proper sublattice")
-    simple = len(sets) == 2 or (len(sets) == 1 and len(g.vertices) == 0)
+    simple = len(sets) == 2 and satisfies_condition_L(g)  # {0, E^0}, every cycle exits
     return IdealReport(has_k, has_k, simple, entries, warning)

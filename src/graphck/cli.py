@@ -1,8 +1,9 @@
 """Command-line front end: parse the graph DSL, dispatch, report, exit code.
 
-Exit codes: 0 success or PASS, 1 verification FAIL, 2 usage/parse/precondition
-error, 3 resource limit.  Reports are deterministic for fixed input and flags;
-timing is reported outside the result payload.
+Exit codes: 0 success or PASS, 1 verification FAIL, 2 usage, parse, file or
+precondition error, 3 resource limit, 4 internal error (one stderr line).
+Reports are deterministic for fixed input and flags; timing is reported
+outside the result payload.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ktheory import (KTheoryResult, graph_k_theory,
                       verify_multiplication_by_m, verify_on_subquotients)
 from .construct import blowup_graph, jeong_park_subgraph
 from .dsl import emit_graph, parse_graph, parse_pathspec
-from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
+from .errors import ContractViolation, GraphckError, ResourceLimit
 from .graphs import (DirectedGraph, every_vertex_connects_to_cycle, is_acyclic,
                      satisfies_condition_K, sinks)
 from .rep import kappa_matrix, approximation_gap
@@ -78,12 +79,12 @@ def _cmd_analyze(args) -> int:
         "acyclic": is_acyclic(g),
         "sinks": [v.id for v in sinks(g)],
     }
-    ideals = ideal_report(g, args.max_vertices).as_dict()
+    ideals = ideal_report(g).as_dict()
     if sinks(g):
         ktheory = {"skipped": "graph has sinks"}
     else:
         ktheory = _ktheory_payload(graph_k_theory(g))
-    verdict = classify_graph(g, args.max_vertices)
+    verdict = classify_graph(g)
     result = {"conditions": conditions, "ideals": ideals, "ktheory": ktheory,
               "classification": verdict.as_dict()}
     citations = [r.citation for r in verdict.rules_fired]
@@ -110,8 +111,7 @@ def _cmd_ktheory(args) -> int:
     ok = True
     if args.verify_m is not None:
         if args.subquotients:
-            report = verify_on_subquotients(g, args.verify_m,
-                                                        args.max_vertices)
+            report = verify_on_subquotients(g, args.verify_m)
             for e in report.entries:
                 payload["verifications"].append({
                     "target": e.target, "m": args.verify_m,
@@ -120,12 +120,9 @@ def _cmd_ktheory(args) -> int:
                     "certificate": _cert_payload(e.certificate)})
             ok = report.ok
         else:
-            cert = verify_multiplication_by_m(g, args.verify_m)
-            payload["verifications"].append({
-                "target": "whole graph", "m": args.verify_m,
-                "pass": cert.ok and cert.reverify(),
-                "certificate": _cert_payload(cert)})
-            ok = cert.ok
+            entry = _whole_graph_m(g, args.verify_m)
+            payload["verifications"].append({"target": "whole graph", **entry})
+            ok = entry["pass"]
     rep = _report("ktheory", g, payload, started=started)
     lines = [f"K0: free rank {res.k0_free_rank}, torsion {res.k0_torsion or 'none'}",
              f"K1: free rank {res.k1_rank}"]
@@ -134,6 +131,13 @@ def _cmd_ktheory(args) -> int:
                      + ("PASS" if v["pass"] else "FAIL"))
     _emit(rep, args.json, lines)
     return 0 if ok else 1
+
+
+def _whole_graph_m(g: DirectedGraph, m: int) -> dict:
+    """Multiplication-by-m certificate for the whole graph; its `pass`
+    re-checks every stored witness and decides the exit code."""
+    cert = verify_multiplication_by_m(g, m)
+    return {"m": m, "pass": cert.reverify(), "certificate": _cert_payload(cert)}
 
 
 def _cert_payload(cert) -> dict | None:
@@ -148,7 +152,7 @@ def _cert_payload(cert) -> dict | None:
 def _cmd_ideals(args) -> int:
     started = time.monotonic()
     g = _read_graph(args.graph)
-    report = ideal_report(g, args.max_vertices)
+    report = ideal_report(g)
     rep = _report("ideals", g, report.as_dict(), started=started)
     lines = []
     for e in report.entries:
@@ -164,7 +168,7 @@ def _cmd_ideals(args) -> int:
 def _cmd_classify(args) -> int:
     started = time.monotonic()
     g = _read_graph(args.graph)
-    verdict = classify_graph(g, args.max_vertices)
+    verdict = classify_graph(g)
     rep = _report("classify", g, verdict.as_dict(),
                   [r.citation for r in verdict.rules_fired], started)
     lines = [f"nuclear dimension lower bound: {verdict.lower}",
@@ -278,11 +282,10 @@ def _cmd_quasidiag(args) -> int:
 def _cmd_verify_m(args) -> int:
     started = time.monotonic()
     g = _read_graph(args.graph)
-    cert = verify_multiplication_by_m(g, args.m)
-    ok = cert.ok and cert.reverify()
-    result = {"m": args.m, "pass": ok, "certificate": _cert_payload(cert)}
+    result = _whole_graph_m(g, args.m)
     rep = _report("verify-m", g, result, started=started)
-    _emit(rep, args.json, ["PASS" if ok else f"FAIL ({cert.failure})"])
+    ok = result["pass"]
+    _emit(rep, args.json, ["PASS" if ok else f"FAIL ({result['certificate']['failure']})"])
     return 0 if ok else 1
 
 
@@ -335,16 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="invariants and verdicts for finite-graph operator algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
+    def common(p, graph=True, depth=False):
         if graph:
             p.add_argument("graph", help="graph DSL file, or - for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--max-vertices", type=int, default=20,
-                       help="bound for subset enumeration")
-        p.add_argument("--depth", type=int, default=None,
-                       help="leveling depth for symbolic equality")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="cutoff for truncated representations")
+        if depth:
+            p.add_argument("--depth", type=int, default=None,
+                           help="leveling depth for symbolic equality")
 
     p = sub.add_parser("analyze", help="conditions, ideals, K-theory, classification")
     common(p)
@@ -381,14 +381,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("approx", help="compression-vs-inclusion gap of a word")
-    common(p)
+    common(p, depth=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mu", required=True, help="path: vertex id or dot-joined edge ids")
     p.add_argument("--nu", required=True, help="path: vertex id or dot-joined edge ids")
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("verify-hom", help="check generator images form a family")
-    common(p)
+    common(p, depth=True)
     p.add_argument("--which", choices=("iota", "jm"), required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_verify_hom)
@@ -399,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_m)
 
     p = sub.add_parser("quasidiag", help="window projection and commutation checks")
-    common(p)
+    common(p, depth=True)
     p.add_argument("--ideal", required=True, help="comma-separated vertex ids")
     p.add_argument("--window", required=True, help="comma-separated vertex ids")
     p.set_defaults(func=_cmd_quasidiag)
@@ -423,21 +423,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except DslError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ContractViolation as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3
-    except FileNotFoundError as ex:
+    except (GraphckError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except GraphckError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+    except Exception as ex:
+        # never exit 1, which reads as a verification FAIL
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

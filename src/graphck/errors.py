@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-Exit-code mapping used by the CLI: ContractViolation and DslError are
-usage-level errors (exit 2), ResourceLimit is exit 3.  Verification
-failures are ordinary results, never exceptions.
+CLI exit codes: 0 PASS, 1 verification FAIL (an ordinary result, never an
+exception), 2 any other GraphckError or a file error, 3 ResourceLimit, 4 any
+other exception (internal error).
 """
 
 

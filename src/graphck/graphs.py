@@ -245,56 +245,53 @@ def sinks(g: DirectedGraph) -> list[Vertex]:
     return [v for v in g.vertices if not g.out_edges(v)]
 
 
-def cycle_vertices(g: DirectedGraph) -> frozenset[Vertex]:
-    """Vertices lying on at least one cycle (SCC contains an internal edge)."""
+def _components(g: DirectedGraph) -> tuple[dict[Vertex, int], int]:
+    """Strongly connected components by Tarjan: (component of each vertex, count).
+
+    A component is numbered only after every component it reaches, so edges
+    between components always lead to a smaller number.
+    """
     index: dict[Vertex, int] = {}
     low: dict[Vertex, int] = {}
-    on_stack: set[Vertex] = set()
-    stack: list[Vertex] = []
     comp: dict[Vertex, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    def strongconnect(root: Vertex) -> None:
+    stack: list[Vertex] = []
+    n = 0
+    for root in g.vertices:
+        if root in index:
+            continue
         # iterative Tarjan; recursion depth can exceed limits on long chains
-        work = [(root, iter(g.out_edges(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(g.out_edges(root)))]
         while work:
             v, it = work[-1]
-            advanced = False
             for e in it:
                 w = e.range
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(g.out_edges(w))))
-                    advanced = True
                     break
-                if w in on_stack:
+                if w not in comp:  # visited and unassigned: still on the stack
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp[0]
-                    if w == v:
-                        break
-                ncomp[0] += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n
+                        if w == v:
+                            break
+                    n += 1
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    return comp, n
 
-    for v in g.vertices:
-        if v not in index:
-            strongconnect(v)
+
+def cycle_vertices(g: DirectedGraph) -> frozenset[Vertex]:
+    """Vertices lying on at least one cycle (SCC contains an internal edge)."""
+    comp, _ = _components(g)
     cyclic_components = {comp[e.source] for e in g.edges if comp[e.source] == comp[e.range]}
     return frozenset(v for v in g.vertices if comp[v] in cyclic_components)
 
@@ -413,6 +410,18 @@ def satisfies_condition_K(g: DirectedGraph) -> bool:
     return all(first_return_count(g, v) != 1 for v in cycle_vertices(g))
 
 
+def satisfies_condition_L(g: DirectedGraph) -> bool:
+    """Every cycle has an exit: no component is a bare cycle, whose vertices
+    each emit exactly one edge, inside the component."""
+    comp, n = _components(g)
+    has_exit = [False] * n
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if len(out) != 1 or comp[out[0].range] != comp[v]:
+            has_exit[comp[v]] = True
+    return all(has_exit)
+
+
 def every_vertex_connects_to_cycle(g: DirectedGraph) -> bool:
     """From each vertex there is a (possibly empty) path to a cycle vertex."""
     seen = set(cycle_vertices(g))
@@ -469,40 +478,43 @@ def hereditary_saturated_closure(g: DirectedGraph, s: Iterable[Vertex]) -> froze
     return frozenset(h)
 
 
-def enumerate_hereditary_saturated(g: DirectedGraph, max_vertices: int = 20) -> list[frozenset[Vertex]]:
+MAX_LATTICE_SETS = 1 << 20  # holds every lattice of a graph with <= 20 vertices
+
+
+def enumerate_hereditary_saturated(g: DirectedGraph) -> list[frozenset[Vertex]]:
     """All hereditary saturated subsets, ordered by cardinality then position.
 
-    Uses lectic closure enumeration, so the cost scales with the number of
-    closed sets rather than 2^|E^0|; still refuses oversized graphs because
-    the output itself can be exponential.
+    Hereditary sets are unions of components closed under successors.  The
+    components are decided successors first, so every partial choice ends in
+    a set: the cost follows the number of sets, refused past MAX_LATTICE_SETS.
     """
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceLimit(
-            f"graph has {n} vertices; enumeration bound is {max_vertices}")
-    order = list(g.vertices)
-
-    def close(bits: frozenset[int]) -> frozenset[int]:
-        h = hereditary_saturated_closure(g, {order[i] for i in bits})
-        return frozenset(g.vertex_index(v) for v in h)
-
-    closed: list[frozenset[int]] = []
-    current = close(frozenset())
-    while True:
-        closed.append(current)
-        nxt = None
-        for i in range(n - 1, -1, -1):
-            if i in current:
-                continue
-            candidate = close(frozenset(j for j in current if j < i) | {i})
-            if all(j in current for j in candidate if j < i):
-                nxt = candidate
-                break
-        if nxt is None:
-            break
-        current = nxt
-    closed.sort(key=lambda b: (len(b), tuple(sorted(b))))
-    return [frozenset(order[i] for i in b) for b in closed]
+    comp, n = _components(g)
+    members = [0] * n  # vertex bits of each component
+    succ = [0] * n     # vertex bits of the ranges of its edges
+    for v, c in comp.items():
+        members[c] |= 1 << g.vertex_index(v)
+    for e in g.edges:
+        succ[comp[e.source]] |= 1 << g.vertex_index(e.range)
+    sets = [0]
+    for c in range(n):
+        outside = succ[c] & ~members[c]
+        # a lone loop-free vertex with edges: saturation takes it once all of them land in h
+        forced = succ[c] and succ[c] == outside
+        grown = []
+        for h in sets:
+            if not outside & ~h:
+                grown.append(h | members[c])
+                if forced:
+                    continue
+            grown.append(h)
+            if len(grown) > MAX_LATTICE_SETS:
+                raise ResourceLimit(
+                    f"ideal lattice exceeds MAX_LATTICE_SETS = {MAX_LATTICE_SETS}: {len(grown)} "
+                    f"hereditary saturated sets after {c + 1} of {n} components")
+        sets = grown
+    positions = sorted((tuple(i for i in range(len(g.vertices)) if h >> i & 1) for h in sets),
+                       key=lambda pos: (len(pos), pos))
+    return [frozenset(g.vertices[i] for i in pos) for pos in positions]
 
 
 def quotient_graph(g: DirectedGraph, h: Iterable[Vertex]) -> DirectedGraph:

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolation
 from .graphs import (DirectedGraph, Vertex, adjacency_matrix,
-                     enumerate_hereditary_saturated, is_hereditary,
-                     is_saturated, paths_from, quotient_graph,
-                     restriction_graph, sinks)
+                     enumerate_hereditary_saturated, paths_from,
+                     quotient_graph, restriction_graph, sinks)
 
 IntMatrix = list[list[int]]
 
@@ -306,7 +305,7 @@ class MultiplicationCertificate:
     failure: str | None = None
 
     def reverify(self) -> bool:
-        """Re-check every stored witness from scratch."""
+        """Re-check every stored witness from scratch; False for a failed certificate."""
         phi = connectivity_matrix(self.graph)
         b = induced_endomorphism_matrix(self.graph, self.m)
         n = len(phi)
@@ -409,17 +408,17 @@ def _run_target(name: str, kind: str, graph: DirectedGraph, m: int) -> Subquotie
         return SubquotientEntry(name, kind, "skip",
                                 reason=f"sink {sinks(graph)[0].id} in the piece")
     cert = verify_multiplication_by_m(graph, m)
-    status = "pass" if cert.ok and cert.reverify() else "fail"
+    status = "pass" if cert.reverify() else "fail"
     return SubquotientEntry(name, kind, status, certificate=cert)
 
 
-def verify_on_subquotients(g: DirectedGraph, m: int, max_vertices: int = 20) -> SubquotientReport:
+def verify_on_subquotients(g: DirectedGraph, m: int) -> SubquotientReport:
     """Sweep every hereditary saturated set: verify the multiplication-by-m
     action on the corresponding ideal piece and quotient piece, and on the
     in-between pieces for strictly nested pairs.  Sink-bearing pieces are
     reported as skipped, never failed."""
     _require_ktheory_ready(g)
-    sets = enumerate_hereditary_saturated(g, max_vertices)
+    sets = enumerate_hereditary_saturated(g)
     entries: list[SubquotientEntry] = []
     names = {h: "{" + ",".join(sorted(v.id for v in h)) + "}" for h in sets}
     for h in sets:
@@ -429,11 +428,8 @@ def verify_on_subquotients(g: DirectedGraph, m: int, max_vertices: int = 20) -> 
         entries.append(_run_target(f"quotient by {names[h]}", "quotient", quot, m))
         for j in sets:
             if j < h and j:
-                if not (is_hereditary(ideal, j) and is_saturated(ideal, j)):
-                    entries.append(SubquotientEntry(
-                        f"subquotient {names[j]} in {names[h]}", "subquotient", "skip",
-                        reason="inner set is not hereditary saturated in the piece"))
-                    continue
+                # j is hereditary saturated in the ideal piece too: a vertex
+                # outside the saturated h has an edge leaving h
                 sub = quotient_graph(ideal, j)
                 entries.append(_run_target(
                     f"subquotient {names[j]} in {names[h]}", "subquotient", sub, m))

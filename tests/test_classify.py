@@ -132,6 +132,14 @@ def test_ideal_report_two_loop_simple():
     assert rep.simple and len(rep.entries) == 2
 
 
+def test_simple_requires_condition_L():
+    # C*(single loop) = C(T) and C*(two_cycle) = M_2(C(T)): two-set lattices,
+    # but a cycle without an exit; the empty graph's algebra is zero
+    assert not G.ideal_report(single_loop()).simple
+    assert not G.ideal_report(two_cycle()).simple
+    assert not G.ideal_report(G.DirectedGraph.build([], [])).simple
+
+
 def test_ideal_report_two_cycle_warns():
     rep = G.ideal_report(two_cycle())
     assert not rep.condition_k

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphck as G
+import graphck.cli as cli
 from graphck.cli import main
 from graphck.dsl import emit_graph, parse_graph, parse_pathspec
 from graphck.errors import DslError
@@ -215,3 +220,84 @@ def test_verify_hom_jm_sink_exit(tmp_path, capsys):
     p.write_text("vertex v\nvertex w\nedge e : v -> w\nedge l : v -> v\n")
     assert main(["verify-hom", "--which", "jm", "--m", "2", str(p)]) == 2
     assert "sink" in capsys.readouterr().err
+
+
+def test_removed_options_exit_2(twoloop_file, capsys):
+    assert main(["kappa", "--m", "3", "--depth", "2"]) == 2
+    assert main(["ideals", "--max-vertices", "5", twoloop_file]) == 2
+    assert main(["classify", "--truncation", "4", twoloop_file]) == 2
+
+
+def test_ktheory_verify_m_exit_follows_pass(twoloop_file, capsys, monkeypatch):
+    monkeypatch.setattr(G.ktheory.MultiplicationCertificate, "reverify", lambda self: False)
+    assert main(["ktheory", "--json", "--verify-m", "3", twoloop_file]) == 1
+    v, = _json_out(capsys)["result"]["verifications"]
+    assert v["pass"] is False
+    assert main(["verify-m", "--m", "3", twoloop_file]) == 1
+
+
+def test_internal_error_exit_code(twoloop_file, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_cmd_classify", boom)
+    assert main(["classify", twoloop_file]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_lattice_of_large_strongly_connected_ring(tmp_path, capsys):
+    # 25 vertices, edges i -> i+1 and i -> i+2: Condition (K), lattice {0, E^0}
+    n = 25
+    text = "".join(f"vertex v{i}\n" for i in range(n))
+    text += "".join(f"edge a{i} : v{i} -> v{(i + 1) % n}\nedge b{i} : v{i} -> v{(i + 2) % n}\n"
+                    for i in range(n))
+    p = tmp_path / "ring.g"
+    p.write_text(text)
+    full = sorted(f"v{i}" for i in range(n))
+    assert main(["ideals", "--json", str(p)]) == 0
+    assert [s["vertices"] for s in _json_out(capsys)["result"]["sets"]] == [[], full]
+    assert main(["classify", "--json", str(p)]) == 0
+    verdict = _json_out(capsys)["result"]
+    assert (verdict["lower"], verdict["upper"]) == (1, 1)
+    assert verdict["rules"][0]["witness"]["ideal_lattice"] == [[], full]
+    assert main(["analyze", "--json", str(p)]) == 0
+    assert len(_json_out(capsys)["result"]["ideals"]["sets"]) == 2
+
+
+def _passes(node):
+    if isinstance(node, dict):
+        return ([node["pass"]] if "pass" in node else []) + [
+            x for v in node.values() for x in _passes(v)]
+    if isinstance(node, list):
+        return [x for v in node for x in _passes(v)]
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 6), data=st.data(), m=st.integers(1, 3),
+       command=st.sampled_from(["analyze", "classify", "ideals", "ktheory", "ktheory-m",
+                                "ktheory-sub", "verify-m", "verify-hom-iota",
+                                "verify-hom-jm"]))
+def test_cli_exit_code_contract(tmp_path_factory, n, data, m, command):
+    """Exit codes stay in {0, 1, 2, 3}, and exit 0 exactly when every
+    reported `pass` is true."""
+    vs = [f"v{i}" for i in range(n)]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                               max_size=10)) if vs else []
+    text = "".join(f"vertex {v}\n" for v in vs)
+    text += "".join(f"edge e{j} : {s} -> {r}\n" for j, (s, r) in enumerate(pairs))
+    path = tmp_path_factory.mktemp("contract") / "g.g"
+    path.write_text(text)
+    argv = {"ktheory-m": ["ktheory", "--verify-m", str(m)],
+            "ktheory-sub": ["ktheory", "--verify-m", str(m), "--subquotients"],
+            "verify-m": ["verify-m", "--m", str(m)],
+            # a third blow-up of ten loops takes seconds to verify
+            "verify-hom-iota": ["verify-hom", "--which", "iota", "--m", str(min(m, 2))],
+            "verify-hom-jm": ["verify-hom", "--which", "jm", "--m", str(min(m, 2))],
+            }.get(command, [command])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--json", str(path)])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (0, 1):
+        passes = _passes(json.loads(out.getvalue())["result"])
+        assert code == (0 if all(passes) else 1)

@@ -198,6 +198,59 @@ def test_enumerate_resource_bound():
         G.enumerate_hereditary_saturated(g)
 
 
+def few_component_graph(rng, n):
+    """n vertices split into 2-6 blocks, each strongly connected (a ring with
+    chords, a looped vertex) or a lone loop-free vertex; edges between blocks
+    only go to earlier blocks, so the blocks are the components."""
+    vs = [f"v{i}" for i in range(n)]
+    rng.shuffle(vs)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 5)))
+    blocks = [vs[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    es = []
+    for k, block in enumerate(blocks):
+        if len(block) > 1 or rng.random() < 0.5:
+            es += [(block[i], block[(i + 1) % len(block)]) for i in range(len(block))]
+            es += [(rng.choice(block), rng.choice(block)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 3) if k else 0):
+            es.append((rng.choice(block), rng.choice(rng.choice(blocks[:k]))))
+    return G.DirectedGraph.build(sorted(vs, key=lambda v: int(v[1:])),
+                                 [(f"e{j}", s, r) for j, (s, r) in enumerate(es)])
+
+
+def test_enumerate_complete_on_large_few_component_graphs(rng):
+    """Hereditary saturated, sorted, no duplicates, contains the empty set and
+    closed under adding one vertex and closing: then every hereditary
+    saturated T is listed, reached from the empty set one vertex of T at a
+    time."""
+    for _ in range(40):
+        g = few_component_graph(rng, rng.randint(21, 40))
+        sets = G.enumerate_hereditary_saturated(g)
+        assert sets[0] == frozenset()
+        keys = [(len(s), sorted(g.vertex_index(v) for v in s)) for s in sets]
+        assert keys == sorted(keys) and len(set(sets)) == len(sets)
+        listed = set(sets)
+        for s in sets:
+            assert is_hereditary(g, s) and is_saturated(g, s)
+            for v in g.vertices:
+                if v not in s:
+                    assert G.hereditary_saturated_closure(g, s | {v}) in listed
+
+
+def test_condition_L_examples():
+    assert not G.satisfies_condition_L(single_loop())
+    assert not G.satisfies_condition_L(two_cycle())
+    assert G.satisfies_condition_L(two_loop())
+    assert G.satisfies_condition_L(single_edge())
+    assert G.satisfies_condition_L(G.DirectedGraph.build([], []))
+    # a loop feeding the bare cycle: the loop has an exit, the cycle has none
+    fed = G.DirectedGraph.build(["u", "v", "w"], [("l", "u", "u"), ("a", "u", "v"),
+                                                  ("b", "v", "w"), ("c", "w", "v")])
+    assert not G.satisfies_condition_L(fed)
+    exit_ = G.DirectedGraph(fed.vertices + (G.Vertex("x"),),
+                            fed.edges + (G.Edge("d", fed.vertex("w"), G.Vertex("x")),))
+    assert G.satisfies_condition_L(exit_)
+
+
 def test_quotient_restriction_examples():
     m = mixed_m()
     q = G.quotient_graph(m, {m.vertex("v")})
