@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import (DirectedGraph, Vertex, cycle_vertices,
-                     enumerate_hereditary_saturated,
+from .graphs import (DirectedGraph, enumerate_hereditary_saturated,
                      every_vertex_connects_to_cycle, is_acyclic,
                      quotient_graph, restriction_graph,
                      satisfies_condition_K, satisfies_condition_L)
@@ -73,7 +72,7 @@ def classify(g: DirectedGraph) -> Verdict:
         return verdict
 
     lattice = enumerate_hereditary_saturated(g)
-    if satisfies_condition_K(g) and every_vertex_connects_to_cycle(g):
+    if purely_infinite(g):
         # finite graph with Condition (K): the gauge-invariant lattice is the
         # whole ideal lattice and it is finite
         verdict.lower = verdict.upper = 1
@@ -97,10 +96,9 @@ def classify(g: DirectedGraph) -> Verdict:
                          ideal_lattice=[sorted(v.id for v in s) for s in lattice if s <= h])
             break
 
-    if cycle_vertices(g):
-        if verdict.lower is None or verdict.lower < 1:
-            verdict.lower = 1
-            verdict.fire("R5", CITE_NOT_AF)
+    if verdict.lower is None:  # g has a cycle, else R0 returned
+        verdict.lower = 1
+        verdict.fire("R5", CITE_NOT_AF)
     return verdict
 
 

@@ -22,7 +22,7 @@ from .ktheory import (KTheoryResult, graph_k_theory,
                       verify_multiplication_by_m, verify_on_subquotients)
 from .construct import blowup_graph, jeong_park_subgraph
 from .dsl import emit_graph, parse_graph, parse_pathspec
-from .errors import ContractViolation, GraphckError, ResourceLimit
+from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
 from .graphs import (DirectedGraph, every_vertex_connects_to_cycle, is_acyclic,
                      satisfies_condition_K, sinks)
 from .rep import kappa_matrix, approximation_gap
@@ -39,7 +39,12 @@ def _digest(g: DirectedGraph) -> str:
 
 
 def _read_graph(path: str) -> DirectedGraph:
-    text = sys.stdin.read() if path == "-" else FsPath(path).read_text(encoding="utf-8")
+    # bytes, not text: stdin may decode with surrogateescape and hide bad input
+    data = sys.stdin.buffer.read() if path == "-" else FsPath(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DslError(f"input is not UTF-8: invalid byte at offset {exc.start}") from None
     return parse_graph(text)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation
 from .graphs import (DirectedGraph, Edge, Path, Vertex, cycle_vertices,
-                     every_vertex_connects_to_cycle, first_return_count,
-                     paths, satisfies_condition_K, sinks, unique_first_return)
+                     first_return_counts, paths, reaching, sinks,
+                     unique_first_return)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ class BlowupGraph:
         # synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted
         # graph pipes back into every command; underscore joins can collide
         # with user ids, so they are deterministically uniquified
-        used: set[str] = set()
-
-        def fresh(token: str) -> str:
+        def fresh(used: set[str], token: str) -> str:
             while token in used:
                 token += "_"
             used.add(token)
@@ -64,30 +62,26 @@ class BlowupGraph:
         self._vertex_of_path: dict[Path, Vertex] = {}
         self._path_of_vertex: dict[Vertex, Path] = {}
         vs: list[Vertex] = []
-        tokens: dict[Path, str] = {}
+        vertex_ids: set[str] = set()
+        by_source: dict[Vertex, list[Path]] = {v: [] for v in base.vertices}
         for p in paths(base, 0, m):
-            tokens[p] = fresh(path_token(p))
-            v = Vertex(tokens[p])
+            v = Vertex(fresh(vertex_ids, path_token(p)))
             self._vertex_of_path[p] = v
             self._path_of_vertex[v] = p
             vs.append(v)
-        used_edges: set[str] = set()
+            by_source[p.source].append(p)
+        edge_ids: set[str] = set()
         es: list[Edge] = []
         self._edge_of_pair: dict[tuple[Edge, Path], Edge] = {}
         self._pair_of_edge: dict[Edge, tuple[Edge, Path]] = {}
         for e in base.edges:
-            for p in paths(base, 0, m):
-                if e.range != p.source:
-                    continue
+            for p in by_source[e.range]:
                 if len(p) < m - 1:
                     src = self._vertex_of_path[Path((e,)) * p]
                 else:
                     src = self._vertex_of_path[Path.at(e.source)]
-                eid = f"{e.id}__{tokens[p]}"
-                while eid in used_edges:
-                    eid += "_"
-                used_edges.add(eid)
-                new = Edge(eid, src, self._vertex_of_path[p])
+                rng = self._vertex_of_path[p]
+                new = Edge(fresh(edge_ids, f"{e.id}__{rng.id}"), src, rng)
                 es.append(new)
                 self._edge_of_pair[(e, p)] = new
                 self._pair_of_edge[new] = (e, p)
@@ -220,24 +214,17 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
     for e in f_set:
         if e not in g.edges:
             raise ContractViolation(f"edge {e.id} not in graph")
-    if not satisfies_condition_K(g):
-        bad = next(v for v in cycle_vertices(g) if first_return_count(g, v) == 1)
+    counts = first_return_counts(g)
+    bad = next((v for v in g.vertices if counts[v] == 1), None)
+    if bad is not None:
         raise ContractViolation(f"ambient graph fails Condition (K) at {bad.id}")
-    if not every_vertex_connects_to_cycle(g):
-        cyc = cycle_vertices(g)
-        reach = set(cyc)
-        frontier = list(reach)
-        while frontier:
-            x = frontier.pop()
-            for e in g.in_edges(x):
-                if e.source not in reach:
-                    reach.add(e.source)
-                    frontier.append(e.source)
-        bad = next(v for v in g.vertices if v not in reach)
+    cyc = cycle_vertices(g)
+    reach = reaching(g, cyc)
+    bad = next((v for v in g.vertices if v not in reach), None)
+    if bad is not None:
         raise ContractViolation(f"vertex {bad.id} does not connect to a cycle")
 
     chosen: set[Edge] = set(f_set)
-    cyc = cycle_vertices(g)
     required = sorted(v_set | {e.range for e in f_set}, key=g.vertex_index)
     for v in required:
         walk = _shortest_path_to(g, v, cyc)
@@ -258,13 +245,12 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
     # different edge; each pass strictly grows the edge set, so this stops.
     sub = subgraph(chosen)
     for _ in range(len(g.edges) + 1):
-        deficient = [v for v in sub.vertices if first_return_count(sub, v) == 1]
+        counts = first_return_counts(sub)
+        deficient = [v for v in sub.vertices if counts[v] == 1]
         if not deficient:
             return sub
         for w in deficient:
             ret = unique_first_return(sub, w)
-            if ret is None:
-                continue
             added = False
             for n in range(len(ret)):
                 u = ret.edges[n].source

@@ -289,90 +289,48 @@ def _components(g: DirectedGraph) -> tuple[dict[Vertex, int], int]:
     return comp, n
 
 
-def cycle_vertices(g: DirectedGraph) -> frozenset[Vertex]:
-    """Vertices lying on at least one cycle (SCC contains an internal edge)."""
+def first_return_counts(g: DirectedGraph) -> dict[Vertex, int]:
+    """Number of first-return paths at each vertex: 0, 1 or 2 (at least two).
+
+    A first-return path at v stays inside v's strongly connected component C,
+    and each edge x -> y inside C lies on one: shortest paths v -> x and y -> v
+    meet v only at their ends.  So two edges from one vertex into C give two
+    such paths; if no vertex sends two, C is a bare cycle (one path) or a lone
+    vertex without a loop (none).
+    """
     comp, _ = _components(g)
-    cyclic_components = {comp[e.source] for e in g.edges if comp[e.source] == comp[e.range]}
-    return frozenset(v for v in g.vertices if comp[v] in cyclic_components)
+    most: dict[int, int] = {}  # per component: most edges one vertex sends into it
+    for v in g.vertices:
+        inside = sum(1 for e in g.out_edges(v) if comp[e.range] == comp[v])
+        most[comp[v]] = max(most.get(comp[v], 0), inside)
+    return {v: min(2, most[comp[v]]) for v in g.vertices}
+
+
+def cycle_vertices(g: DirectedGraph) -> frozenset[Vertex]:
+    """Vertices lying on at least one cycle."""
+    return frozenset(v for v, count in first_return_counts(g).items() if count)
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
     return not cycle_vertices(g)
 
 
-def _avoiding_reach_out(g: DirectedGraph, v: Vertex) -> set[Vertex]:
-    """Vertices != v reachable from v by a nonempty path whose interior avoids v."""
-    seen: set[Vertex] = set()
-    frontier = [e.range for e in g.out_edges(v) if e.range != v]
-    while frontier:
-        x = frontier.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        for e in g.out_edges(x):
-            if e.range != v and e.range not in seen:
-                frontier.append(e.range)
-    return seen
-
-
-def _avoiding_reach_in(g: DirectedGraph, v: Vertex) -> set[Vertex]:
-    """Vertices != v that reach v by a nonempty path whose interior avoids v."""
-    seen: set[Vertex] = set()
-    frontier = [e.source for e in g.in_edges(v) if e.source != v]
-    while frontier:
-        x = frontier.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        for e in g.in_edges(x):
-            if e.source != v and e.source not in seen:
-                frontier.append(e.source)
-    return seen
-
-
-def _usable_edges(g: DirectedGraph, v: Vertex) -> set[Edge]:
-    """Edges lying on some cycle at v whose interior avoids v."""
-    fwd = _avoiding_reach_out(g, v)
-    bck = _avoiding_reach_in(g, v)
-    usable: set[Edge] = set()
-    for e in g.edges:
-        if e.source == v:
-            ok = e.range == v or e.range in bck
-        elif e.range == v:
-            ok = e.source in fwd
-        else:
-            ok = e.source in fwd and e.range in bck
-        if ok:
-            usable.add(e)
-    return usable
-
-
-def first_return_count(g: DirectedGraph, v: Vertex) -> int:
-    """0, 1 or 2, where 2 means 'at least two' distinct first-return paths.
-
-    Exact: among edges usable in a first-return walk, a branch point means
-    infinitely many or at least two walks; no branch point forces at most one.
-    """
-    usable = _usable_edges(g, v)
-    if not any(e.source == v for e in usable):
-        return 0
-    outdeg: dict[Vertex, int] = {}
-    for e in usable:
-        outdeg[e.source] = outdeg.get(e.source, 0) + 1
-    if any(c >= 2 for c in outdeg.values()):
-        return 2
-    return 1
-
-
 def unique_first_return(g: DirectedGraph, v: Vertex) -> Path | None:
-    """The single first-return path at v, when there is exactly one."""
-    if first_return_count(g, v) != 1:
-        return None
-    usable = _usable_edges(g, v)
-    step = {e.source: e for e in usable}
-    walk = [step[v]]
-    while walk[-1].range != v:
-        walk.append(step[walk[-1].range])
+    """The single first-return path at v, when there is exactly one.
+
+    Follows from v the one edge each vertex sends into v's component; the
+    walk returns to v with no branch on the way exactly when that component
+    is a bare cycle.
+    """
+    comp, _ = _components(g)
+    walk: list[Edge] = []
+    x = v
+    while not walk or x != v:
+        inside = [e for e in g.out_edges(x) if comp[e.range] == comp[v]]
+        if len(inside) != 1:
+            return None
+        walk.append(inside[0])
+        x = inside[0].range
     return Path(tuple(walk))
 
 
@@ -406,8 +364,8 @@ def first_return_paths(g: DirectedGraph, v: Vertex, max_length: int | None = Non
 
 
 def satisfies_condition_K(g: DirectedGraph) -> bool:
-    """Every vertex with one first-return path has at least two."""
-    return all(first_return_count(g, v) != 1 for v in cycle_vertices(g))
+    """No vertex has exactly one first-return path."""
+    return 1 not in first_return_counts(g).values()
 
 
 def satisfies_condition_L(g: DirectedGraph) -> bool:
@@ -422,9 +380,9 @@ def satisfies_condition_L(g: DirectedGraph) -> bool:
     return all(has_exit)
 
 
-def every_vertex_connects_to_cycle(g: DirectedGraph) -> bool:
-    """From each vertex there is a (possibly empty) path to a cycle vertex."""
-    seen = set(cycle_vertices(g))
+def reaching(g: DirectedGraph, targets: Iterable[Vertex]) -> set[Vertex]:
+    """Vertices with a (possibly empty) path into targets."""
+    seen = set(targets)
     frontier = list(seen)
     while frontier:
         x = frontier.pop()
@@ -432,7 +390,12 @@ def every_vertex_connects_to_cycle(g: DirectedGraph) -> bool:
             if e.source not in seen:
                 seen.add(e.source)
                 frontier.append(e.source)
-    return len(seen) == len(g.vertices)
+    return seen
+
+
+def every_vertex_connects_to_cycle(g: DirectedGraph) -> bool:
+    """From each vertex there is a (possibly empty) path to a cycle vertex."""
+    return len(reaching(g, cycle_vertices(g))) == len(g.vertices)
 
 
 VertexSet = frozenset

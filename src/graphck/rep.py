@@ -432,8 +432,9 @@ def k_coefficients(m: int, a: int, b: int) -> KCoefficients:
     """Exact values K_{m,i}, i = 0..m-1, for legs of lengths a and b.
 
     Each K is the sum of (at most) two weight-matrix entries: the unique
-    in-window representative of a+i modulo m, and the one at the half-shifted
-    window; out-of-range partners contribute zero.
+    in-window representative of a+i modulo m, and the one in the window
+    shifted by ceil(m/2), as in shifted_band_compression; out-of-range
+    partners contribute zero.
     """
     if m < 1:
         raise ContractViolation("m must be positive")
@@ -444,7 +445,7 @@ def k_coefficients(m: int, a: int, b: int) -> KCoefficients:
     for i in range(m):
         r1 = (a + i) % m
         c1 = kappa.entry0(r1, r1 - a + b)
-        r2 = (a + i - (3 * m) // 2) % m
+        r2 = (a + i - m - ceil(m / 2)) % m
         c2 = kappa.entry0(r2, r2 - a + b)
         vals.append(c1 + c2)
     return KCoefficients(m, a, b, tuple(vals))

@@ -19,8 +19,7 @@ from typing import Iterable, Mapping
 from .construct import BlowupGraph
 from .errors import ContractViolation
 from .graphs import (DirectedGraph, Edge, Path, Vertex, is_acyclic,
-                     is_hereditary, is_saturated, paths, quotient_graph,
-                     sinks)
+                     is_hereditary, is_saturated, quotient_graph, sinks)
 
 
 class AlgebraMode(enum.Enum):
@@ -302,9 +301,9 @@ def iota_image(bg: BlowupGraph, gen: Vertex | Edge) -> FormalSum:
     g = bg.graph
     terms: dict[Word, Fraction] = {}
     if isinstance(gen, Vertex):
-        for p in paths(bg.base, 0, bg.m):
-            if p.source == gen:
-                at = Path.at(bg.vertex_of_path(p))
+        for v in g.vertices:
+            if bg.path_of_vertex(v).source == gen:
+                at = Path.at(v)
                 terms[Word(at, at)] = Fraction(1)
         return FormalSum(g, terms)
     for em in g.edges:

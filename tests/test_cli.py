@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -117,6 +120,19 @@ def test_jeong_park_command(twoloop_file, capsys):
     assert sorted(e.id for e in g.edges) == ["e", "f"]
 
 
+def test_jeong_park_names_first_failing_vertex_whatever_the_hash_seed(tmp_path):
+    p = tmp_path / "loops.g"
+    p.write_text("vertex a\nvertex b\nvertex c\n"
+                 "edge x : a -> a\nedge y : b -> b\nedge z : c -> c\n")
+    src = os.path.dirname(os.path.dirname(G.__file__))
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "graphck.cli", "jeong-park", str(p)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert "fails Condition (K) at a" in run.stderr, (seed, run.stderr)
+
+
 def test_kappa_command(capsys):
     assert main(["kappa", "--m", "3", "--json"]) == 0
     rep = _json_out(capsys)
@@ -166,6 +182,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     p.write_text("edge e : v -> w\n")
     assert main(["classify", str(p)]) == 2
     assert "unknown vertex" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "latin.g"
+    p.write_bytes(b"vertex \xff\xfe\n")
+    assert main(["classify", str(p)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"vertex \xff\xfe\n")))
+    assert main(["classify", "-"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

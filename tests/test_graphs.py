@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import graphck as G
 from graphck.errors import ContractViolation
-from graphck.graphs import (cycle_vertices, first_return_count, is_hereditary,
-                            is_saturated, paths_from)
+from graphck.graphs import (cycle_vertices, first_return_counts, is_hereditary,
+                            is_saturated, paths_from, unique_first_return)
 
 from conftest import mixed_m, random_graph, single_edge, single_loop, two_cycle, two_loop
 
@@ -94,14 +94,19 @@ def test_first_return_interior_avoids_base(rng):
 
 
 def test_first_return_matches_bruteforce(rng):
-    """The exact three-way count agrees with bounded enumeration."""
+    """The exact three-way count, the unique path and Condition (K) agree
+    with bounded enumeration."""
     for _ in range(300):
         g = random_graph(rng, max_vertices=6, max_edges=10)
         bound = 2 * len(g.vertices) + 2
+        counts = first_return_counts(g)
+        brute = {}
         for v in g.vertices:
             listed = G.first_return_paths(g, v, max_length=bound, max_paths=200000)
-            brute = 0 if not listed else (1 if len(listed) == 1 else 2)
-            assert first_return_count(g, v) == brute
+            brute[v] = 0 if not listed else (1 if len(listed) == 1 else 2)
+            assert counts[v] == brute[v]
+            assert unique_first_return(g, v) == (listed[0] if brute[v] == 1 else None)
+        assert G.satisfies_condition_K(g) == (1 not in brute.values())
 
 
 def test_condition_k_examples():

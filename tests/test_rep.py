@@ -398,6 +398,29 @@ def test_k_coefficients_bounds():
                 assert all(v > 0 for v in kc.values)
 
 
+def test_k_coefficients_match_the_compressions():
+    """K_{m,i} sums the entries of both compressions of s_mu s_nu* whose row
+    length is a+i modulo m; on a single loop there is one path per length."""
+    g = single_loop()
+    v, e = g.vertex("v"), g.edge("e")
+
+    def leg(n):
+        return Path((e,) * n) if n else Path.at(v)
+
+    for m in range(1, 10):
+        rep = G.build_rep(g, 2 * m + (m + 1) // 2)
+        for a in range(m):
+            for b in range(m):
+                w = Word(leg(a), leg(b))
+                total = (G.band_compression(rep, m, w).matrix
+                         + G.shifted_band_compression(rep, m, w).matrix)
+                sums = [Fraction(0)] * m
+                for i, row in total.rows.items():
+                    for x in row.values():
+                        sums[(len(rep.basis[i]) - a) % m] += x
+                assert sums == list(G.k_coefficients(m, a, b).values), (m, a, b)
+
+
 def test_k_coefficient_zero_at_extreme_gap():
     assert min(G.k_coefficients(3, 2, 0).values) == 0
     assert min(G.k_coefficients(4, 3, 0).values) == 0
