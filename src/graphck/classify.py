@@ -1,18 +1,25 @@
 """Nuclear-dimension bounds for finite graph algebras, by rule cascade.
 
-Each rule re-verifies its hypotheses with direct predicate calls and records
-a witness, so a verdict can be audited by hand.  Bounds the rules cannot
-reach stay unknown rather than being guessed.
+Each rule records a witness, so a verdict can be audited by hand.  Bounds the
+rules cannot reach stay unknown rather than being guessed.
+
+A hereditary saturated set H is a union of strongly connected components
+closed under successors, so its two ideal pieces are decided on g itself.  Let
+Z be the cycle vertices, B those with one first-return path and R those that
+reach Z.  The quotient by H keeps exactly the cycles outside H, so it is
+acyclic iff Z <= H.  The restriction to H keeps its components, their
+first-return counts and every path from H, so it is purely infinite iff H
+misses B and H <= R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import (DirectedGraph, enumerate_hereditary_saturated,
-                     every_vertex_connects_to_cycle, is_acyclic,
-                     quotient_graph, restriction_graph,
-                     satisfies_condition_K, satisfies_condition_L)
+from .graphs import (DirectedGraph, Vertex, enumerate_hereditary_saturated,
+                     every_vertex_connects_to_cycle, first_return_counts,
+                     is_acyclic, reaching, satisfies_condition_K,
+                     satisfies_condition_L)
 
 CITE_AF = "graph algebras of acyclic graphs are approximately finite dimensional: nuclear dimension 0"
 CITE_PI_FINITE = ("a purely infinite graph algebra with finitely many ideals has "
@@ -30,6 +37,13 @@ def purely_infinite(g: DirectedGraph) -> bool:
     """Pure infiniteness criterion for finite graphs: Condition (K) plus every
     vertex connecting to a cycle."""
     return satisfies_condition_K(g) and every_vertex_connects_to_cycle(g)
+
+
+def _cycle_sets(g: DirectedGraph) -> tuple[frozenset[Vertex], frozenset[Vertex], set[Vertex]]:
+    """Z, B and R of the module docstring, from one components pass."""
+    counts = first_return_counts(g)
+    cycles = frozenset(v for v, c in counts.items() if c)
+    return cycles, frozenset(v for v, c in counts.items() if c == 1), reaching(g, cycles)
 
 
 @dataclass
@@ -86,15 +100,18 @@ def classify(g: DirectedGraph) -> Verdict:
     # finite graph, Condition (K) already certifies a finite ideal lattice,
     # so R1 consumes every purely infinite case.
 
-    for h in lattice:
-        if h and purely_infinite(restriction_graph(g, h)) and is_acyclic(quotient_graph(g, h)):
-            # the ideal piece has Condition (K), so finitely many ideals; as h
-            # is saturated, its lattice is the part of ours inside h
-            verdict.lower = verdict.upper = 1
-            verdict.fire("R3", CITE_QD_EXT,
-                         ideal_vertices=sorted(v.id for v in h),
-                         ideal_lattice=[sorted(v.id for v in s) for s in lattice if s <= h])
-            break
+    # a set passing R3 contains Z, and B with it, so B must be empty; the
+    # lattice is closed under intersection, so the first set containing Z lies
+    # inside every other one, and it passes if any set does
+    cycles, bare, reach = _cycle_sets(g)
+    h = next(s for s in lattice if cycles <= s)
+    if not bare and h <= reach:
+        # the ideal piece has Condition (K), so finitely many ideals; as h
+        # is saturated, its lattice is the part of ours inside h
+        verdict.lower = verdict.upper = 1
+        verdict.fire("R3", CITE_QD_EXT,
+                     ideal_vertices=sorted(v.id for v in h),
+                     ideal_lattice=[sorted(v.id for v in s) for s in lattice if s <= h])
 
     if verdict.lower is None:  # g has a cycle, else R0 returned
         verdict.lower = 1
@@ -136,13 +153,9 @@ def ideal_report(g: DirectedGraph) -> IdealReport:
     """List the gauge-invariant ideal lattice with per-set diagnostics."""
     has_k = satisfies_condition_K(g)
     sets = enumerate_hereditary_saturated(g)
-    entries = []
-    for h in sets:
-        entries.append(IdealEntry(
-            sorted(v.id for v in h),
-            purely_infinite(restriction_graph(g, h)),
-            is_acyclic(quotient_graph(g, h)),
-        ))
+    cycles, bare, reach = _cycle_sets(g)
+    entries = [IdealEntry(sorted(v.id for v in h), h.isdisjoint(bare) and h <= reach, cycles <= h)
+               for h in sets]
     warning = None
     if not has_k:
         warning = ("Condition (K) fails: ideals that are not gauge-invariant may "

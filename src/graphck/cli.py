@@ -411,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run fixture directory and compare reports")
     p.add_argument("directory")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -10,7 +10,7 @@ byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import ContractViolation, ResourceLimit
 
@@ -69,10 +69,6 @@ class Path:
     @staticmethod
     def at(v: Vertex) -> "Path":
         return Path((), v)
-
-    @staticmethod
-    def of(edges: Sequence[Edge]) -> "Path":
-        return Path(tuple(edges))
 
     @property
     def source(self) -> Vertex:
@@ -176,9 +172,6 @@ class DirectedGraph:
 
     def vertex_index(self, v: Vertex) -> int:
         return self._vindex[v]
-
-    def edge_index(self, e: Edge) -> int:
-        return self._eindex[e]
 
     def vertex(self, vid: str) -> Vertex:
         for v in self.vertices:
@@ -396,9 +389,6 @@ def reaching(g: DirectedGraph, targets: Iterable[Vertex]) -> set[Vertex]:
 def every_vertex_connects_to_cycle(g: DirectedGraph) -> bool:
     """From each vertex there is a (possibly empty) path to a cycle vertex."""
     return len(reaching(g, cycle_vertices(g))) == len(g.vertices)
-
-
-VertexSet = frozenset
 
 
 def _as_vertex_set(g: DirectedGraph, s: Iterable[Vertex]) -> frozenset[Vertex]:

@@ -232,10 +232,6 @@ class KTheoryResult:
                 out.append(c % di)
         return tuple(out)
 
-    def k1_kernel_basis(self) -> list[list[int]]:
-        """Integer basis of ker(I - A^t): columns of V at zero diagonal slots."""
-        return integer_kernel_basis(self.decomposition)
-
 
 def integer_kernel_basis(snf: SmithDecomposition) -> list[list[int]]:
     """Basis of the integer kernel of the decomposed matrix."""

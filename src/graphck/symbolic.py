@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 
 from .construct import BlowupGraph
 from .errors import ContractViolation
-from .graphs import (DirectedGraph, Edge, Path, Vertex, is_acyclic,
-                     is_hereditary, is_saturated, quotient_graph, sinks)
+from .graphs import (DirectedGraph, Edge, Path, Vertex, _as_vertex_set,
+                     cycle_vertices, is_hereditary, is_saturated, sinks)
 
 
 class AlgebraMode(enum.Enum):
@@ -353,14 +353,14 @@ def gabe_approximate_identity(g: DirectedGraph, h: Iterable[Vertex],
     """Finite-window projection built from vertex projections inside the set
     and range projections of the paths that enter it from the window.
 
-    Requires h hereditary and saturated with acyclic quotient, which keeps
-    the path family finite.
+    Requires h hereditary and saturated with acyclic quotient: a cycle meeting
+    h lies inside it, so every cycle must.  That keeps the path family finite.
     """
     hs = frozenset(h)
     xs = frozenset(x)
     if not (is_hereditary(g, hs) and is_saturated(g, hs)):
         raise ContractViolation("the ideal set must be hereditary and saturated")
-    if not is_acyclic(quotient_graph(g, hs)):
+    if not cycle_vertices(g) <= _as_vertex_set(g, hs):
         raise ContractViolation("the quotient graph must be acyclic")
     terms: dict[Word, Fraction] = {}
     for v in g.vertices:

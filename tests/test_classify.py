@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import graphck as G
 
-from conftest import (dumbbell, full_two_vertex, mixed_m, single_edge,
-                      single_loop, three_loop, two_cycle, two_loop,
-                      two_vertex_pi, u_graph)
+from conftest import (dumbbell, full_two_vertex, mixed_m, random_graph,
+                      single_edge, single_loop, three_loop, two_cycle,
+                      two_loop, two_vertex_pi, u_graph)
 
 
 def chain(n):
@@ -145,3 +147,40 @@ def test_ideal_report_two_cycle_warns():
     assert not rep.condition_k
     assert rep.warning is not None
     assert [e.vertices for e in rep.entries] == [[], ["v", "w"]]
+
+
+def _pieces_by_graphs(g, h):
+    """Oracle for one lattice set: build both pieces and test them directly."""
+    return (G.purely_infinite(G.restriction_graph(g, h)),
+            G.is_acyclic(G.quotient_graph(g, h)))
+
+
+def _r3_by_graphs(g):
+    """Oracle for R3: the first lattice set whose pieces pass, past R0 and R1."""
+    if G.is_acyclic(g) or G.purely_infinite(g):
+        return None
+    lattice = G.enumerate_hereditary_saturated(g)
+    for h in lattice:
+        if h and all(_pieces_by_graphs(g, h)):
+            return {"ideal_vertices": sorted(v.id for v in h),
+                    "ideal_lattice": [sorted(v.id for v in s) for s in lattice if s <= h]}
+    return None
+
+
+def test_ideal_predicates_match_built_pieces():
+    rng = random.Random(6)
+    graphs = [make() for _, make, *_ in CORPUS]
+    graphs += [random_graph(rng, max_vertices=9, max_edges=14) for _ in range(300)]
+    fired = 0
+    for g in graphs:
+        lattice = G.enumerate_hereditary_saturated(g)
+        entries = G.ideal_report(g).entries
+        assert [e.vertices for e in entries] == [sorted(v.id for v in h) for h in lattice]
+        for h, e in zip(lattice, entries):
+            got = (e.restriction_purely_infinite, e.quotient_acyclic)
+            assert got == _pieces_by_graphs(g, h), (g.edges, e.vertices)
+        r3 = [r.witness for r in G.classify(g).rules_fired if r.rule == "R3"]
+        expected = _r3_by_graphs(g)
+        assert r3 == ([expected] if expected else []), g.edges
+        fired += bool(r3)
+    assert fired >= 5

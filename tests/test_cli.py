@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,6 +20,7 @@ from graphck.cli import main
 from graphck.dsl import emit_graph, parse_graph, parse_pathspec
 from graphck.errors import DslError
 
+CORPUS_DIR = pathlib.Path(__file__).parent / "data" / "corpus"
 TWOLOOP = "vertex v\nedge e : v -> v\nedge f : v -> v\n"
 MIXED = ("vertex u\nvertex v\nvertex w\n"
          "edge e1 : v -> v\nedge e2 : v -> v\n"
@@ -226,9 +228,7 @@ def test_corpus_runner(tmp_path, capsys):
 
 
 def test_shipped_corpus_fixtures(capsys):
-    import pathlib
-    corpus = pathlib.Path(__file__).parent / "data" / "corpus"
-    assert main(["corpus", str(corpus)]) == 0
+    assert main(["corpus", str(CORPUS_DIR)]) == 0
 
 
 def test_empty_graph_analyze(tmp_path, capsys):
@@ -252,6 +252,7 @@ def test_removed_options_exit_2(twoloop_file, capsys):
     assert main(["kappa", "--m", "3", "--depth", "2"]) == 2
     assert main(["ideals", "--max-vertices", "5", twoloop_file]) == 2
     assert main(["classify", "--truncation", "4", twoloop_file]) == 2
+    assert main(["corpus", str(CORPUS_DIR), "--json"]) == 2
 
 
 def test_ktheory_verify_m_exit_follows_pass(twoloop_file, capsys, monkeypatch):

@@ -194,9 +194,9 @@ def test_gabe_examples():
 
 def test_gabe_preconditions():
     m = mixed_m()
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="hereditary and saturated"):
         G.gabe_approximate_identity(m, {m.vertex("u")}, set(m.vertices))
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="acyclic"):
         # quotient by {w} keeps the loops at v
         G.gabe_approximate_identity(m, {m.vertex("w")}, set(m.vertices))
 
