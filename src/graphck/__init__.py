@@ -14,8 +14,7 @@ from .dsl import emit_graph, parse_graph, parse_pathspec
 from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
 from .graphs import (DirectedGraph, Edge, Path, Vertex, adjacency_matrix,
                      enumerate_hereditary_saturated,
-                     every_vertex_connects_to_cycle, first_return_paths,
-                     hereditary_saturated_closure, is_acyclic, paths,
+                     every_vertex_connects_to_cycle, is_acyclic, paths,
                      quotient_graph, restriction_graph, satisfies_condition_K,
                      satisfies_condition_L, sinks)
 from .ktheory import (KTheoryResult, SmithDecomposition,
@@ -24,9 +23,8 @@ from .ktheory import (KTheoryResult, SmithDecomposition,
                       verify_on_subquotients)
 from .rep import (ApproximationGap, KappaMatrix, KCoefficients, TruncatedRep,
                   approximation_gap, band_compression, build_rep,
-                  check_matrix_units, k_coefficients, kappa_matrix, lambda_map,
-                  matrix_unit, path_projection, shifted_band_compression,
-                  window_projection)
+                  k_coefficients, kappa_matrix, matrix_unit, path_projection,
+                  shifted_band_compression, window_projection)
 from .symbolic import (AlgebraMode, FormalSum, Word, commutator_is_zero,
                        gabe_approximate_identity, iota_image, jm_image,
                        normal_form, sums_equal, verify_tck_family)

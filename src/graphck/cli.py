@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path as FsPath
 
 from .classify import classify as classify_graph
@@ -26,10 +25,9 @@ from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
 from .graphs import (DirectedGraph, every_vertex_connects_to_cycle, is_acyclic,
                      satisfies_condition_K, sinks)
 from .rep import kappa_matrix, approximation_gap
-from .symbolic import (AlgebraMode, FormalSum, commutator_is_zero,
-                       edge_isometry, gabe_approximate_identity, iota_image,
-                       jm_image, normal_form, sums_equal, verify_tck_family,
-                       vertex_projection)
+from .symbolic import (AlgebraMode, commutator_is_zero, edge_isometry,
+                       gabe_approximate_identity, iota_image, jm_image,
+                       sums_equal, verify_tck_family, vertex_projection)
 
 SCHEMA = "graphck/1"
 

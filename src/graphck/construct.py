@@ -135,27 +135,27 @@ def _shortest_path_to(g: DirectedGraph, start: Vertex, targets: frozenset[Vertex
     """Shortest path from start into targets, ties by lex edge-id sequence."""
     if start in targets:
         return Path.at(start)
-    best_at: dict[Vertex, tuple[str, ...]] = {start: ()}
-    frontier: list[tuple[Vertex, tuple[Edge, ...]]] = [(start, ())]
+    # each walk travels with its edge-id sequence, the tie-breaking key;
+    # edge ids are unique, so distinct walks never tie and min never compares walks
+    seen = {start}
+    frontier: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = [(start, (), ())]
     while frontier:
-        nxt: list[tuple[Vertex, tuple[Edge, ...]]] = []
-        layer_best: dict[Vertex, tuple[Edge, ...]] = {}
-        for v, walk in frontier:
+        nxt: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = []
+        layer_best: dict[Vertex, tuple[tuple[str, ...], tuple[Edge, ...]]] = {}
+        for v, walk, key in frontier:
             for e in g.out_edges(v):
                 w = e.range
-                if w in best_at:
+                if w in seen:
                     continue
-                cand = walk + (e,)
-                key = tuple(x.id for x in cand)
-                if w not in layer_best or key < tuple(x.id for x in layer_best[w]):
-                    layer_best[w] = cand
-        hits = [w for w in layer_best if w in targets]
+                cand_key = key + (e.id,)
+                if w not in layer_best or cand_key < layer_best[w][0]:
+                    layer_best[w] = (cand_key, walk + (e,))
+        hits = [layer_best[w] for w in layer_best if w in targets]
         if hits:
-            walks = sorted((tuple(x.id for x in layer_best[w]), w) for w in hits)
-            return Path(layer_best[walks[0][1]])
-        for w, cand in layer_best.items():
-            best_at[w] = tuple(x.id for x in cand)
-            nxt.append((w, cand))
+            return Path(min(hits)[1])
+        for w, (cand_key, cand) in layer_best.items():
+            seen.add(w)
+            nxt.append((w, cand, cand_key))
         frontier = nxt
     return None
 
@@ -164,38 +164,34 @@ def _shortest_first_return(g: DirectedGraph, v: Vertex,
                            forbidden_first: Edge | None = None) -> Path | None:
     """Shortest (then lex) cycle at v avoiding v inside, optional first-edge ban."""
     starts = [e for e in g.out_edges(v) if e != forbidden_first]
-    best: Path | None = None
-    frontier: list[tuple[Vertex, tuple[Edge, ...]]] = []
-    done: list[Path] = []
+    # walks carry their tie-breaking keys, as in _shortest_path_to
+    frontier: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = []
+    done: list[tuple[tuple[str, ...], tuple[Edge, ...]]] = []
     for e in starts:
         if e.range == v:
-            done.append(Path((e,)))
+            done.append(((e.id,), (e,)))
         else:
-            frontier.append((e.range, (e,)))
+            frontier.append((e.range, (e,), (e.id,)))
     seen: set[Vertex] = set()
     while not done and frontier:
-        nxt: list[tuple[Vertex, tuple[Edge, ...]]] = []
-        layer: dict[Vertex, tuple[Edge, ...]] = {}
-        for x, walk in frontier:
+        nxt: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = []
+        layer: dict[Vertex, tuple[tuple[str, ...], tuple[Edge, ...]]] = {}
+        for x, walk, key in frontier:
             for e in g.out_edges(x):
                 w = e.range
-                cand = walk + (e,)
+                cand_key = key + (e.id,)
                 if w == v:
-                    done.append(Path(cand))
+                    done.append((cand_key, walk + (e,)))
                     continue
                 if w in seen:
                     continue
-                key = tuple(y.id for y in cand)
-                if w not in layer or key < tuple(y.id for y in layer[w]):
-                    layer[w] = cand
-        for w, cand in layer.items():
+                if w not in layer or cand_key < layer[w][0]:
+                    layer[w] = (cand_key, walk + (e,))
+        for w, (cand_key, cand) in layer.items():
             seen.add(w)
-            nxt.append((w, cand))
+            nxt.append((w, cand, cand_key))
         frontier = nxt
-    if done:
-        done.sort(key=lambda p: tuple(e.id for e in p.edges))
-        best = done[0]
-    return best
+    return Path(min(done)[1]) if done else None
 
 
 def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:

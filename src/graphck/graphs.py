@@ -103,12 +103,6 @@ class Path:
         """The path made of edges k, k+1, ... (empty at range if k == len)."""
         return Path(self.edges[k:]) if k < len(self.edges) else Path.at(self.range)
 
-    def vertices(self) -> list[Vertex]:
-        """Vertex itinerary: source, then range of each edge."""
-        out = [self.source]
-        out.extend(e.range for e in self.edges)
-        return out
-
     @property
     def id(self) -> str:
         """Deterministic textual name: vertex id, or dot-joined edge ids."""
@@ -121,7 +115,7 @@ class Path:
 class DirectedGraph:
     """Finite directed multigraph with insertion-ordered vertices and edges."""
 
-    __slots__ = ("vertices", "edges", "tail_truncated", "_vindex", "_eindex", "_out", "_in")
+    __slots__ = ("vertices", "edges", "tail_truncated", "_vindex", "_out", "_in")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge],
                  tail_truncated: bool = False):
@@ -134,15 +128,13 @@ class DirectedGraph:
             if v in self._vindex:  # Vertex compares by id
                 raise ContractViolation(f"duplicate vertex id {v.id}")
             self._vindex[v] = i
-        self._eindex: dict[Edge, int] = {}
         seen_eids = set()
-        for i, e in enumerate(self.edges):
+        for e in self.edges:
             if e.id in seen_eids:
                 raise ContractViolation(f"duplicate edge id {e.id}")
             seen_eids.add(e.id)
             if e.source not in self._vindex or e.range not in self._vindex:
                 raise ContractViolation(f"edge {e.id} has an endpoint outside the graph")
-            self._eindex[e] = i
         self._out: dict[Vertex, tuple[Edge, ...]] = {v: () for v in self.vertices}
         self._in: dict[Vertex, tuple[Edge, ...]] = {v: () for v in self.vertices}
         for e in self.edges:
@@ -184,12 +176,6 @@ class DirectedGraph:
             if e.id == eid:
                 return e
         raise ContractViolation(f"no edge named {eid}")
-
-    def path_key(self, p: Path) -> tuple:
-        """Sort key realising the length-then-lex path order."""
-        if not p.edges:
-            return (0, (self._vindex[p.base],))
-        return (len(p.edges), tuple(self._eindex[e] for e in p.edges))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DirectedGraph)
@@ -327,35 +313,6 @@ def unique_first_return(g: DirectedGraph, v: Vertex) -> Path | None:
     return Path(tuple(walk))
 
 
-def first_return_paths(g: DirectedGraph, v: Vertex, max_length: int | None = None,
-                       max_paths: int = 100_000) -> list[Path]:
-    """Cycles at v visiting v only at their endpoints, up to max_length.
-
-    There may be infinitely many overall; the default bound |E^0|*|E^1| is
-    enough to witness the count used by Condition (K) on small graphs.
-    """
-    if not g.has_vertex(v):
-        raise ContractViolation(f"vertex {v.id} not in graph")
-    if max_length is None:
-        max_length = len(g.vertices) * len(g.edges)
-    found: list[Path] = []
-    stack: list[Path] = [Path((e,)) for e in reversed(g.out_edges(v))]
-    while stack:
-        p = stack.pop()
-        if p.range == v:
-            found.append(p)
-            if len(found) > max_paths:
-                raise ResourceLimit(
-                    f"more than {max_paths} first-return paths at {v.id}; raise max_paths")
-            continue
-        if len(p) >= max_length:
-            continue
-        for e in reversed(g.out_edges(p.range)):
-            stack.append(p * Path((e,)))
-    found.sort(key=g.path_key)
-    return found
-
-
 def satisfies_condition_K(g: DirectedGraph) -> bool:
     """No vertex has exactly one first-return path."""
     return 1 not in first_return_counts(g).values()
@@ -411,24 +368,6 @@ def is_saturated(g: DirectedGraph, s: Iterable[Vertex]) -> bool:
         if out and v not in h and all(e.range in h for e in out):
             return False
     return True
-
-
-def hereditary_saturated_closure(g: DirectedGraph, s: Iterable[Vertex]) -> frozenset[Vertex]:
-    """Smallest hereditary and saturated superset, by fixed-point iteration."""
-    h = set(_as_vertex_set(g, s))
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            if e.source in h and e.range not in h:
-                h.add(e.range)
-                changed = True
-        for v in g.vertices:
-            out = g.out_edges(v)
-            if out and v not in h and all(e.range in h for e in out):
-                h.add(v)
-                changed = True
-    return frozenset(h)
 
 
 MAX_LATTICE_SETS = 1 << 20  # holds every lattice of a graph with <= 20 vertices

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation
-from .graphs import (DirectedGraph, Vertex, adjacency_matrix,
-                     enumerate_hereditary_saturated, paths_from,
-                     quotient_graph, restriction_graph, sinks)
+from .graphs import (DirectedGraph, adjacency_matrix,
+                     enumerate_hereditary_saturated, quotient_graph,
+                     restriction_graph, sinks)
 
 IntMatrix = list[list[int]]
 
@@ -181,34 +181,6 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition([row[:] for row in matrix], u, d, v)
 
 
-def smith_diagonal_by_minors(matrix: IntMatrix) -> list[int]:
-    """Independent oracle: invariant factors from gcds of k-by-k minors.
-
-    Exponential in the size; intended for cross-checking small matrices.
-    """
-    from itertools import combinations
-    from math import gcd
-
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    size = min(nrows, ncols)
-    gcds = [1]
-    for k in range(1, size + 1):
-        g = 0
-        for rows in combinations(range(nrows), k):
-            for cols in combinations(range(ncols), k):
-                sub = [[matrix[i][j] for j in cols] for i in rows]
-                g = gcd(g, abs(_det(sub)))
-        gcds.append(g)
-    diag = []
-    for k in range(1, size + 1):
-        if gcds[k] == 0:
-            diag.append(0)
-        else:
-            diag.append(gcds[k] // gcds[k - 1])
-    return diag
-
-
 @dataclass
 class KTheoryResult:
     """Kernel/cokernel presentation of I - A^t."""
@@ -218,19 +190,6 @@ class KTheoryResult:
     k0_torsion: list[int]
     k1_rank: int
     decomposition: SmithDecomposition
-
-    def k0_class(self, x: list[int]) -> tuple[int, ...]:
-        """Coordinates of an integer vector in the cokernel presentation."""
-        z = _mat_vec(self.decomposition.u, x)
-        diag = self.decomposition.diagonal
-        out = []
-        for i, c in enumerate(z):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                out.append(c)
-            elif di > 1:
-                out.append(c % di)
-        return tuple(out)
 
 
 def integer_kernel_basis(snf: SmithDecomposition) -> list[list[int]]:
@@ -366,17 +325,6 @@ def verify_multiplication_by_m(g: DirectedGraph, m: int) -> MultiplicationCertif
             return cert
         cert.k1_basis.append(x)
     return cert
-
-
-def vertex_range_counts(g: DirectedGraph, v: Vertex, m: int) -> list[int]:
-    """Multiset of ranges of the paths of length < m leaving v, as a vector.
-
-    Independent path-enumeration cross-check of the geometric-sum column."""
-    counts = [0] * len(g.vertices)
-    for length in range(m):
-        for p in paths_from(g, v, length):
-            counts[g.vertex_index(p.range)] += 1
-    return counts
 
 
 @dataclass

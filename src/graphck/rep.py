@@ -26,7 +26,7 @@ from math import ceil
 
 from .construct import BlowupGraph, embed_path
 from .errors import ContractViolation, ResourceLimit
-from .graphs import DirectedGraph, Edge, Path, Vertex, paths, paths_from, sinks
+from .graphs import DirectedGraph, Edge, Path, Vertex, paths_from, sinks
 from .sparse import RatMatrix
 from .symbolic import AlgebraMode, FormalSum, Word, iota_path_image, normal_form
 
@@ -258,28 +258,6 @@ def matrix_unit(rep: TruncatedRep, mu: Path, nu: Path) -> RepOperator:
                        max(0, len(nu) - len(mu)))
 
 
-def check_matrix_units(rep: TruncatedRep, p: int) -> bool:
-    """Multiplication and adjoint rules for all matrix units of length < p."""
-    all_paths = [q for q in paths(rep.graph, 0, p)]
-    pairs = [(mu, nu) for mu in all_paths for nu in all_paths if mu.range == nu.range]
-    units = {(mu, nu): matrix_unit(rep, mu, nu) for mu, nu in pairs}
-    for (mu, nu), u in units.items():
-        if not rep.equal_on_exact_region(u.star(), units[(nu, mu)]):
-            return False
-    zero = RepOperator(RatMatrix(rep.dimension, rep.dimension), 0)
-    for (mu, nu), u in units.items():
-        for (rho, sigma), w in units.items():
-            prod = u * w
-            if nu == rho:
-                expected = matrix_unit(rep, mu, sigma)
-                expected = RepOperator(expected.matrix, prod.creations)
-            else:
-                expected = RepOperator(zero.matrix, prod.creations)
-            if not rep.equal_on_exact_region(prod, expected):
-                return False
-    return True
-
-
 def window_projection(rep: TruncatedRep, m: int) -> RepOperator:
     """Sum of the path projections over all paths of length < m: the
     identity on the basis prefix of those paths."""
@@ -318,27 +296,6 @@ def kappa_matrix(m: int) -> KappaMatrix:
         tuple(Fraction(min(i, j, m + 1 - i, m + 1 - j), half + 1) for j in range(1, m + 1))
         for i in range(1, m + 1))
     return KappaMatrix(m, rows)
-
-
-def schur_multiply(kappa: KappaMatrix, a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Entrywise product kappa * a."""
-    m = kappa.m
-    return [[kappa.entries[i][j] * a[i][j] for j in range(m)] for i in range(m)]
-
-
-def schur_via_projections(kappa: KappaMatrix, a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """The same map written as an average of corner compressions: summing the
-    middle blocks l..m-l+1 over l = 1..ceil(m/2), normalized by 1/(half+1)."""
-    m = kappa.m
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for l in range(1, kappa.half + 1):
-        for i in range(l - 1, m - l + 1):
-            row = out[i]
-            arow = a[i]
-            for j in range(l - 1, m - l + 1):
-                row[j] += arow[j]
-    c = Fraction(1, kappa.half + 1)
-    return [[c * x for x in row] for row in out]
 
 
 def _windowed_sum(rep: TruncatedRep, m: int, shift: int, mu: Path, nu: Path) -> RepOperator:
@@ -399,19 +356,6 @@ def compression_route(rep: TruncatedRep, m: int, w: Word, shift: int) -> RepOper
     a = rep.word_operator(w.alpha, w.beta)
     mid = band * a * band
     return RepOperator(_schur_by_length(rep, mid.matrix, m, shift), mid.creations)
-
-
-def lambda_map(bg: BlowupGraph, p: int, mu: Path, nu: Path) -> FormalSum:
-    """Matrix unit of the window [p, p+m) sent to the blow-up word on the
-    embedded paths."""
-    m = bg.m
-    if mu.range != nu.range:
-        raise ContractViolation("legs must share their range")
-    for leg in (mu, nu):
-        if not (p <= len(leg) < p + m):
-            raise ContractViolation(
-                f"path {leg.id} has length {len(leg)} outside [{p}, {p + m})")
-    return FormalSum.of(bg.graph, Word(embed_path(bg, mu), embed_path(bg, nu)))
 
 
 @dataclass(frozen=True)

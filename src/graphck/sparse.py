@@ -26,13 +26,6 @@ class RatMatrix:
                 if v:
                     self.rows.setdefault(i, {})[j] = v
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        m = RatMatrix(n, n)
-        for i in range(n):
-            m.rows[i] = {i: Fraction(1)}
-        return m
-
     def get(self, i: int, j: int) -> Fraction:
         return self.rows.get(i, {}).get(j, Fraction(0))
 

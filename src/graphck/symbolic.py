@@ -177,11 +177,6 @@ def edge_isometry(g: DirectedGraph, e: Edge) -> FormalSum:
     return FormalSum.of(g, Word(Path((e,)), Path.at(e.range)))
 
 
-def path_isometry(g: DirectedGraph, p: Path) -> FormalSum:
-    """s_p = product of the edge generators along p."""
-    return FormalSum.of(g, Word(p, Path.at(p.range)))
-
-
 def normal_form(a: FormalSum, mode: AlgebraMode, depth: int | None = None) -> FormalSum:
     """Canonical form at the given depth.
 

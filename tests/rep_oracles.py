@@ -4,17 +4,24 @@ The library builds every 0/1 operator directly from index maps.  These are
 the composed constructions from the definitions -- generators by path
 hashing, T_mu as a product of edge operators, range projections minus
 extension projections, and so on -- which the tests compare against the
-direct ones on whole matrices.  The double-precision norm estimate lives
-here too: only tests use floats.
+direct ones on whole matrices.  The matrix-unit rule check, the two Schur
+routes for the weight matrix and the window-to-blow-up map lambda live here
+too, as does the double-precision norm estimate: only tests use them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
+import graphck
+from graphck.construct import BlowupGraph, embed_path
+from graphck.errors import ContractViolation
 from graphck.graphs import Path, paths
-from graphck.rep import RepOperator, TruncatedRep
+from graphck.rep import KappaMatrix, RepOperator, TruncatedRep
 from graphck.sparse import RatMatrix
+from graphck.symbolic import FormalSum, Word
 
 
 def edge_operator(rep: TruncatedRep, e) -> RepOperator:
@@ -73,6 +80,70 @@ def window_projection(rep: TruncatedRep, m: int) -> RepOperator:
     for mu in paths(rep.graph, 0, m):
         total = total + path_projection(rep, mu).matrix
     return RepOperator(total, 0, 0)
+
+
+def identity_matrix(n: int) -> RatMatrix:
+    m = RatMatrix(n, n)
+    for i in range(n):
+        m.rows[i] = {i: Fraction(1)}
+    return m
+
+
+def check_matrix_units(rep: TruncatedRep, p: int) -> bool:
+    """Multiplication and adjoint rules for all matrix units of length < p,
+    built by the library's direct `matrix_unit`."""
+    all_paths = [q for q in paths(rep.graph, 0, p)]
+    pairs = [(mu, nu) for mu in all_paths for nu in all_paths if mu.range == nu.range]
+    units = {(mu, nu): graphck.matrix_unit(rep, mu, nu) for mu, nu in pairs}
+    for (mu, nu), u in units.items():
+        if not rep.equal_on_exact_region(u.star(), units[(nu, mu)]):
+            return False
+    zero = RepOperator(RatMatrix(rep.dimension, rep.dimension), 0)
+    for (mu, nu), u in units.items():
+        for (rho, sigma), w in units.items():
+            prod = u * w
+            if nu == rho:
+                expected = graphck.matrix_unit(rep, mu, sigma)
+                expected = RepOperator(expected.matrix, prod.creations)
+            else:
+                expected = RepOperator(zero.matrix, prod.creations)
+            if not rep.equal_on_exact_region(prod, expected):
+                return False
+    return True
+
+
+def schur_multiply(kappa: KappaMatrix, a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Entrywise product kappa * a."""
+    m = kappa.m
+    return [[kappa.entries[i][j] * a[i][j] for j in range(m)] for i in range(m)]
+
+
+def schur_via_projections(kappa: KappaMatrix, a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The same map written as an average of corner compressions: summing the
+    middle blocks l..m-l+1 over l = 1..ceil(m/2), normalized by 1/(half+1)."""
+    m = kappa.m
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for l in range(1, kappa.half + 1):
+        for i in range(l - 1, m - l + 1):
+            row = out[i]
+            arow = a[i]
+            for j in range(l - 1, m - l + 1):
+                row[j] += arow[j]
+    c = Fraction(1, kappa.half + 1)
+    return [[c * x for x in row] for row in out]
+
+
+def lambda_map(bg: BlowupGraph, p: int, mu: Path, nu: Path) -> FormalSum:
+    """Matrix unit of the window [p, p+m) sent to the blow-up word on the
+    embedded paths."""
+    m = bg.m
+    if mu.range != nu.range:
+        raise ContractViolation("legs must share their range")
+    for leg in (mu, nu):
+        if not (p <= len(leg) < p + m):
+            raise ContractViolation(
+                f"path {leg.id} has length {len(leg)} outside [{p}, {p + m})")
+    return FormalSum.of(bg.graph, Word(embed_path(bg, mu), embed_path(bg, nu)))
 
 
 def to_numpy(mat: RatMatrix) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -328,3 +329,21 @@ def test_cli_exit_code_contract(tmp_path_factory, n, data, m, command):
     if code in (0, 1):
         passes = _passes(json.loads(out.getvalue())["result"])
         assert code == (0 if all(passes) else 1)
+
+
+def test_readme_library_example():
+    """The README's library example runs against the public names, and each
+    value it shows holds."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    k, mult_ok, family_ok, verdict = shown
+    assert (k.k0_free_rank, k.k0_torsion, k.k1_rank) == (0, [], 0)
+    assert mult_ok and family_ok
+    assert (verdict.lower, verdict.upper, verdict.toeplitz_upper) == (1, 1, 2)

@@ -164,6 +164,16 @@ def test_jeong_park_examples():
     sub = G.jeong_park_subgraph(u, {u.vertex("u")}, set())
     assert sorted(v.id for v in sub.vertices) == ["u", "v"]
     assert sorted(e.id for e in sub.edges) == ["a", "e1", "e2"]
+    # 400-vertex ring i -> i+1 (a), i -> i+2 (b): long searches where the
+    # lex tie-breaking decides every cycle the closure adds
+    n = 400
+    ring = G.DirectedGraph.build(
+        [f"v{i}" for i in range(n)],
+        [x for i in range(n) for x in ((f"a{i}", f"v{i}", f"v{(i + 1) % n}"),
+                                       (f"b{i}", f"v{i}", f"v{(i + 2) % n}"))])
+    sub = G.jeong_park_subgraph(ring, {ring.vertex("v0")}, set())
+    assert [e.id for e in sub.edges] == [
+        x for i in range(n) for x in ((f"a{i}", f"b{i}") if i % 2 == 0 else (f"a{i}",))]
 
 
 def test_jeong_park_precondition():

@@ -10,11 +10,11 @@ import graphck as G
 from graphck.errors import ContractViolation
 from graphck.graphs import Path, paths
 from graphck.symbolic import (AlgebraMode, FormalSum, Word, edge_isometry,
-                              iota_path_image, path_isometry, sums_equal,
-                              vertex_projection)
+                              iota_path_image, sums_equal, vertex_projection)
 
 from conftest import (SINK_FREE_CORPUS, mixed_m, random_graph, two_cycle,
                       two_loop, u_graph)
+from oracles import path_isometry, path_vertices
 
 CK = AlgebraMode.CUNTZ_KRIEGER
 TOEPLITZ = AlgebraMode.TOEPLITZ
@@ -234,7 +234,7 @@ def test_gabe_commutation_once_window_covers_word():
                 continue
             for name, word_sum in _gens(g).items():
                 word = next(iter(word_sum.terms))
-                needed = set(word.alpha.vertices()) | set(word.beta.vertices())
+                needed = set(path_vertices(word.alpha)) | set(path_vertices(word.beta))
                 for extra in (set(), set(g.vertices)):
                     x = needed | extra
                     ex = G.gabe_approximate_identity(g, h, x)
