@@ -1,5 +1,12 @@
 """Command-line front end: parse the graph DSL, dispatch, report, exit code.
 
+`_COMMANDS` lists every subcommand once: name, handler, help and arguments;
+`main` builds the argparse tree from it on its first call.  A report
+handler only computes: given the graph and the arguments it returns
+(result, text lines, exit code, citations), and `_run_report` times the
+command, reads the graph, assembles the `graphck/1` report and prints it.
+`blowup`, `jeong-park` and `corpus` print their own output.
+
 Exit codes: 0 success or PASS, 1 verification FAIL, 2 usage, parse, file or
 precondition error, 3 resource limit, 4 internal error (one stderr line).
 Reports are deterministic for fixed input and flags; timing is reported
@@ -9,6 +16,7 @@ outside the result payload.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -46,26 +54,27 @@ def _read_graph(path: str) -> DirectedGraph:
     return parse_graph(text)
 
 
-def _report(command: str, g: DirectedGraph | None, result, citations=(),
-            started: float | None = None) -> dict:
-    rep = {
+def _run_report(command: str, handler, args) -> int:
+    """Time a report command, read its graph (none for `kappa`), wrap the
+    handler's result in the `graphck/1` report and print it as JSON or as
+    the handler's text lines; return the handler's exit code."""
+    started = time.monotonic()
+    g = _read_graph(args.graph) if "graph" in args else None
+    result, lines, code, citations = handler(g, args)
+    report = {
         "schema": SCHEMA,
         "command": command,
         "input_digest": _digest(g) if g is not None else None,
         "result": result,
-        "citations": list(citations),
+        "citations": citations,
+        "timing_ms": round(1000.0 * (time.monotonic() - started), 3),
     }
-    if started is not None:
-        rep["timing_ms"] = round(1000.0 * (time.monotonic() - started), 3)
-    return rep
-
-
-def _emit(report: dict, as_json: bool, text_lines=None) -> None:
-    if as_json:
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
-        for line in (text_lines or [json.dumps(report["result"], indent=2)]):
+        for line in lines:
             print(line)
+    return code
 
 
 def _ktheory_payload(res: KTheoryResult) -> dict:
@@ -73,9 +82,7 @@ def _ktheory_payload(res: KTheoryResult) -> dict:
             "k1": {"rank": res.k1_rank}}
 
 
-def _cmd_analyze(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _analyze(g: DirectedGraph, args):
     conditions = {
         "condition_K": satisfies_condition_K(g),
         "every_vertex_connects_to_cycle": every_vertex_connects_to_cycle(g),
@@ -90,8 +97,6 @@ def _cmd_analyze(args) -> int:
     verdict = classify_graph(g)
     result = {"conditions": conditions, "ideals": ideals, "ktheory": ktheory,
               "classification": verdict.as_dict()}
-    citations = [r.citation for r in verdict.rules_fired]
-    rep = _report("analyze", g, result, citations, started)
     lines = [f"condition (K): {conditions['condition_K']}",
              f"every vertex connects to a cycle: "
              f"{conditions['every_vertex_connects_to_cycle']}",
@@ -101,13 +106,10 @@ def _cmd_analyze(args) -> int:
              f"K-theory: {ktheory}",
              f"nuclear dimension: lower={verdict.lower} upper={verdict.upper} "
              f"toeplitz_upper={verdict.toeplitz_upper}"]
-    _emit(rep, args.json, lines)
-    return 0
+    return result, lines, 0, [r.citation for r in verdict.rules_fired]
 
 
-def _cmd_ktheory(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _ktheory(g: DirectedGraph, args):
     res = graph_k_theory(g)
     payload = _ktheory_payload(res)
     payload["verifications"] = []
@@ -126,14 +128,12 @@ def _cmd_ktheory(args) -> int:
             entry = _whole_graph_m(g, args.verify_m)
             payload["verifications"].append({"target": "whole graph", **entry})
             ok = entry["pass"]
-    rep = _report("ktheory", g, payload, started=started)
     lines = [f"K0: free rank {res.k0_free_rank}, torsion {res.k0_torsion or 'none'}",
              f"K1: free rank {res.k1_rank}"]
     for v in payload["verifications"]:
         lines.append(f"multiplication by {v['m']} on {v['target']}: "
                      + ("PASS" if v["pass"] else "FAIL"))
-    _emit(rep, args.json, lines)
-    return 0 if ok else 1
+    return payload, lines, 0 if ok else 1, []
 
 
 def _whole_graph_m(g: DirectedGraph, m: int) -> dict:
@@ -152,11 +152,8 @@ def _cert_payload(cert) -> dict | None:
             "failure": cert.failure}
 
 
-def _cmd_ideals(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _ideals(g: DirectedGraph, args):
     report = ideal_report(g)
-    rep = _report("ideals", g, report.as_dict(), started=started)
     lines = []
     for e in report.entries:
         lines.append("{" + ",".join(e.vertices) + "}: "
@@ -164,23 +161,17 @@ def _cmd_ideals(args) -> int:
                      f"quotient acyclic={e.quotient_acyclic}")
     if report.warning:
         lines.append("warning: " + report.warning)
-    _emit(rep, args.json, lines)
-    return 0
+    return report.as_dict(), lines, 0, []
 
 
-def _cmd_classify(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _classify(g: DirectedGraph, args):
     verdict = classify_graph(g)
-    rep = _report("classify", g, verdict.as_dict(),
-                  [r.citation for r in verdict.rules_fired], started)
     lines = [f"nuclear dimension lower bound: {verdict.lower}",
              f"nuclear dimension upper bound: {verdict.upper}",
              f"Toeplitz algebra upper bound: {verdict.toeplitz_upper}"]
     for r in verdict.rules_fired:
         lines.append(f"[{r.rule}] {r.citation}")
-    _emit(rep, args.json, lines)
-    return 0
+    return verdict.as_dict(), lines, 0, [r.citation for r in verdict.rules_fired]
 
 
 def _cmd_blowup(args) -> int:
@@ -199,20 +190,15 @@ def _cmd_jeong_park(args) -> int:
     return 0
 
 
-def _cmd_kappa(args) -> int:
-    started = time.monotonic()
+def _kappa(g: None, args):
     kappa = kappa_matrix(args.m)
     rows = [[str(x) for x in row] for row in kappa.entries]
-    rep = _report("kappa", None, {"m": args.m, "entries": rows}, started=started)
     width = max(len(s) for row in rows for s in row)
     lines = ["  ".join(s.rjust(width) for s in row) for row in rows]
-    _emit(rep, args.json, lines)
-    return 0
+    return {"m": args.m, "entries": rows}, lines, 0, []
 
 
-def _cmd_approx(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _approx(g: DirectedGraph, args):
     mu = parse_pathspec(g, args.mu)
     nu = parse_pathspec(g, args.nu)
     bg = blowup_graph(g, args.m)
@@ -224,18 +210,14 @@ def _cmd_approx(args) -> int:
         "max_defect": str(gap.coefficients.max_defect),
         "difference_terms": len(gap.difference.terms),
     }
-    rep = _report("approx", g, result, started=started)
     lines = [f"max |coefficient| of the gap: {gap.max_coefficient}",
              f"per-length coefficient sums: "
              + " ".join(str(v) for v in gap.coefficients.values),
              f"max defect from the coefficient table: {gap.coefficients.max_defect}"]
-    _emit(rep, args.json, lines)
-    return 0
+    return result, lines, 0, []
 
 
-def _cmd_verify_hom(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _verify_hom(g: DirectedGraph, args):
     bg = blowup_graph(g, args.m)
     if args.which == "iota":
         vertex_images = {v: iota_image(bg, v) for v in g.vertices}
@@ -252,15 +234,11 @@ def _cmd_verify_hom(args) -> int:
         target = "reinclusion into the base algebra with matrix units"
     result = {"which": args.which, "m": args.m, "pass": check.ok,
               "failed_relation": check.failed_relation}
-    rep = _report("verify-hom", g, result, started=started)
     line = f"{target}: " + ("PASS" if check.ok else f"FAIL ({check.failed_relation})")
-    _emit(rep, args.json, [line])
-    return 0 if check.ok else 1
+    return result, [line], 0 if check.ok else 1, []
 
 
-def _cmd_quasidiag(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _quasidiag(g: DirectedGraph, args):
     h = {g.vertex(x) for x in args.ideal.split(",") if x}
     x = {g.vertex(t) for t in args.window.split(",") if t}
     e_x = gabe_approximate_identity(g, h, x)
@@ -276,20 +254,15 @@ def _cmd_quasidiag(args) -> int:
             failures.append(f"commutator({name})")
     result = {"ideal": sorted(v.id for v in h), "window": sorted(v.id for v in x),
               "terms": len(e_x.terms), "pass": not failures, "failures": failures}
-    rep = _report("quasidiag", g, result, started=started)
     line = "PASS" if not failures else "FAIL (" + ", ".join(failures) + ")"
-    _emit(rep, args.json, [line])
-    return 0 if not failures else 1
+    return result, [line], 0 if not failures else 1, []
 
 
-def _cmd_verify_m(args) -> int:
-    started = time.monotonic()
-    g = _read_graph(args.graph)
+def _verify_m(g: DirectedGraph, args):
     result = _whole_graph_m(g, args.m)
-    rep = _report("verify-m", g, result, started=started)
     ok = result["pass"]
-    _emit(rep, args.json, ["PASS" if ok else f"FAIL ({result['certificate']['failure']})"])
-    return 0 if ok else 1
+    return (result, ["PASS" if ok else f"FAIL ({result['certificate']['failure']})"],
+            0 if ok else 1, [])
 
 
 def _cmd_corpus(args) -> int:
@@ -304,8 +277,7 @@ def _cmd_corpus(args) -> int:
         spec = json.loads(expect_file.read_text(encoding="utf-8"))
         graph_file = expect_file.with_name(expect_file.name.replace(".expect.json", ".g"))
         argv = list(spec["command"]) + ["--json", str(graph_file)]
-        code, report = _run_capture(argv)
-        if report is None or report.get("result") != spec["result"]:
+        if _run_capture(argv).get("result") != spec["result"]:
             failures.append(expect_file.name)
             print(f"{expect_file.name}: MISMATCH")
         else:
@@ -317,100 +289,75 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _run_capture(argv: list[str]) -> tuple[int, dict | None]:
+def _run_capture(argv: list[str]) -> dict:
     """Run a command, capturing its JSON report instead of printing it."""
     import io
     from contextlib import redirect_stdout
 
     buf = io.StringIO()
-    try:
-        with redirect_stdout(buf):
-            code = main(argv)
-    except SystemExit as ex:  # argparse failure inside a fixture
-        return int(ex.code or 2), None
+    with redirect_stdout(buf):
+        main(argv)
     text = buf.getvalue()
     try:
-        return code, json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError:
-        return code, {"result": text}
+        return {"result": text}
 
 
+_GRAPH = ("graph", {"help": "graph DSL file, or - for stdin"})
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable report"})
+_DEPTH = ("--depth", {"type": int, "default": None,
+                      "help": "leveling depth for symbolic equality"})
+_M = ("--m", {"type": int, "required": True})
+
+# In subcommand order: name, handler, whether the handler builds a report,
+# help, arguments.  A report handler takes (graph, args) and returns
+# (result, text lines, exit code, citations) for `_run_report`; the others
+# take args, print their own output and return the exit code.
+_COMMANDS = (
+    ("analyze", _analyze, True, "conditions, ideals, K-theory, classification",
+     (_GRAPH, _JSON)),
+    ("ktheory", _ktheory, True, "K-groups and multiplication-by-m checks",
+     (_GRAPH, _JSON, ("--verify-m", {"type": int, "default": None, "metavar": "M"}),
+      ("--subquotients", {"action": "store_true"}))),
+    ("ideals", _ideals, True, "gauge-invariant ideal lattice report", (_GRAPH, _JSON)),
+    ("classify", _classify, True, "nuclear-dimension bounds", (_GRAPH, _JSON)),
+    ("blowup", _cmd_blowup, False, "emit the m-th blow-up graph as DSL",
+     (_GRAPH, _JSON, _M)),
+    ("jeong-park", _cmd_jeong_park, False, "closure subgraph containing the inputs",
+     (_GRAPH, _JSON, ("--vertices", {"default": "", "help": "comma-separated vertex ids"}),
+      ("--edges", {"default": "", "help": "comma-separated edge ids"}))),
+    ("kappa", _kappa, True, "print the exact weight matrix", (_JSON, _M)),
+    ("approx", _approx, True, "compression-vs-inclusion gap of a word",
+     (_GRAPH, _JSON, _DEPTH, _M,
+      ("--mu", {"required": True, "help": "path: vertex id or dot-joined edge ids"}),
+      ("--nu", {"required": True, "help": "path: vertex id or dot-joined edge ids"}))),
+    ("verify-hom", _verify_hom, True, "check generator images form a family",
+     (_GRAPH, _JSON, _DEPTH, ("--which", {"choices": ("iota", "jm"), "required": True}), _M)),
+    ("verify-m", _verify_m, True, "multiplication-by-m certificate", (_GRAPH, _JSON, _M)),
+    ("quasidiag", _quasidiag, True, "window projection and commutation checks",
+     (_GRAPH, _JSON, _DEPTH,
+      ("--ideal", {"required": True, "help": "comma-separated vertex ids"}),
+      ("--window", {"required": True, "help": "comma-separated vertex ids"}))),
+    ("corpus", _cmd_corpus, False, "run fixture directory and compare reports",
+     (("directory", {}),)),
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built from `_COMMANDS` on the first `main` call
+    and reused for the rest of the process."""
     parser = argparse.ArgumentParser(
         prog="graphck",
         description="invariants and verdicts for finite-graph operator algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, graph=True, depth=False):
-        if graph:
-            p.add_argument("graph", help="graph DSL file, or - for stdin")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        if depth:
-            p.add_argument("--depth", type=int, default=None,
-                           help="leveling depth for symbolic equality")
-
-    p = sub.add_parser("analyze", help="conditions, ideals, K-theory, classification")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("ktheory", help="K-groups and multiplication-by-m checks")
-    common(p)
-    p.add_argument("--verify-m", type=int, default=None, metavar="M")
-    p.add_argument("--subquotients", action="store_true")
-    p.set_defaults(func=_cmd_ktheory)
-
-    p = sub.add_parser("ideals", help="gauge-invariant ideal lattice report")
-    common(p)
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("classify", help="nuclear-dimension bounds")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("blowup", help="emit the m-th blow-up graph as DSL")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_blowup)
-
-    p = sub.add_parser("jeong-park", help="closure subgraph containing the inputs")
-    common(p)
-    p.add_argument("--vertices", default="", help="comma-separated vertex ids")
-    p.add_argument("--edges", default="", help="comma-separated edge ids")
-    p.set_defaults(func=_cmd_jeong_park)
-
-    p = sub.add_parser("kappa", help="print the exact weight matrix")
-    common(p, graph=False)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_kappa)
-
-    p = sub.add_parser("approx", help="compression-vs-inclusion gap of a word")
-    common(p, depth=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mu", required=True, help="path: vertex id or dot-joined edge ids")
-    p.add_argument("--nu", required=True, help="path: vertex id or dot-joined edge ids")
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser("verify-hom", help="check generator images form a family")
-    common(p, depth=True)
-    p.add_argument("--which", choices=("iota", "jm"), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_verify_hom)
-
-    p = sub.add_parser("verify-m", help="multiplication-by-m certificate")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_verify_m)
-
-    p = sub.add_parser("quasidiag", help="window projection and commutation checks")
-    common(p, depth=True)
-    p.add_argument("--ideal", required=True, help="comma-separated vertex ids")
-    p.add_argument("--window", required=True, help="comma-separated vertex ids")
-    p.set_defaults(func=_cmd_quasidiag)
-
-    p = sub.add_parser("corpus", help="run fixture directory and compare reports")
-    p.add_argument("directory")
-    p.set_defaults(func=_cmd_corpus)
-
+    for name, handler, report, summary, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=functools.partial(_run_report, name, handler) if report
+                       else handler)
     return parser
 
 

@@ -66,17 +66,21 @@ def emit_graph(g: DirectedGraph) -> str:
 
 
 def parse_pathspec(g: DirectedGraph, text: str) -> Path:
-    """A path given as a vertex id or a dot-joined list of edge ids."""
+    """A path given as a vertex id or a dot-joined list of edge ids.  A
+    single id that names both a vertex and an edge is refused."""
     token = text.strip()
     if not token:
         raise DslError("empty path specification")
     if "." not in token:
-        for v in g.vertices:
-            if v.id == token:
-                return Path.at(v)
-        for e in g.edges:
-            if e.id == token:
-                return Path((e,))
+        vertices = [v for v in g.vertices if v.id == token]
+        edges = [e for e in g.edges if e.id == token]
+        if vertices and edges:
+            raise DslError(f"path {token} is ambiguous: it names both vertex {token} "
+                           f"and edge {token}")
+        if vertices:
+            return Path.at(vertices[0])
+        if edges:
+            return Path((edges[0],))
         raise DslError(f"no vertex or edge named {token}")
     edges = []
     for part in token.split("."):

@@ -75,6 +75,20 @@ def test_pathspec():
         parse_pathspec(parse_graph("vertex v\nvertex w\nedge a : v -> w\n"), "a.a")
 
 
+def test_pathspec_refuses_an_id_naming_a_vertex_and_an_edge(tmp_path, capsys):
+    text = "vertex v\nvertex w\nedge v : v -> w\nedge x : w -> v\n"
+    g = parse_graph(text)
+    with pytest.raises(DslError, match="both vertex v and edge v"):
+        parse_pathspec(g, "v")
+    assert parse_pathspec(g, "w").id == "w"
+    assert parse_pathspec(g, "x").id == "x"
+    assert parse_pathspec(g, "v.x").id == "v.x"
+    p = tmp_path / "ambiguous.g"
+    p.write_text(text)
+    assert main(["approx", "--m", "2", "--mu", "v", "--nu", "v", str(p)]) == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
 @pytest.fixture
 def twoloop_file(tmp_path):
     p = tmp_path / "twoloop.g"
@@ -265,11 +279,86 @@ def test_ktheory_verify_m_exit_follows_pass(twoloop_file, capsys, monkeypatch):
 
 
 def test_internal_error_exit_code(twoloop_file, capsys, monkeypatch):
-    def boom(args):
+    def boom(g):
         raise RuntimeError("boom")
-    monkeypatch.setattr(cli, "_cmd_classify", boom)
+    monkeypatch.setattr(cli, "classify_graph", boom)
     assert main(["classify", twoloop_file]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+# Each subcommand in usage order, with every option it accepts and a value
+# that runs on the two-loop graph; `None` marks a flag without a value.
+CLI_SURFACE = {
+    "analyze": {"--json": None},
+    "ktheory": {"--json": None, "--verify-m": "2", "--subquotients": None},
+    "ideals": {"--json": None},
+    "classify": {"--json": None},
+    "blowup": {"--json": None, "--m": "2"},
+    "jeong-park": {"--json": None, "--vertices": "v", "--edges": "e"},
+    "kappa": {"--json": None, "--m": "2"},
+    "approx": {"--json": None, "--depth": "6", "--m": "2", "--mu": "v", "--nu": "v"},
+    "verify-hom": {"--json": None, "--depth": "3", "--which": "iota", "--m": "2"},
+    "verify-m": {"--json": None, "--m": "2"},
+    "quasidiag": {"--json": None, "--depth": "3", "--ideal": "v", "--window": "v"},
+    "corpus": {},
+}
+REQUIRED_OPTIONS = {"blowup": ["--m"], "kappa": ["--m"], "approx": ["--m", "--mu", "--nu"],
+                    "verify-hom": ["--which", "--m"], "verify-m": ["--m"],
+                    "quasidiag": ["--ideal", "--window"]}
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_cli_surface(command, twoloop_file, capsys):
+    options = CLI_SURFACE[command]
+    positional = {"kappa": {}, "corpus": {"directory": str(CORPUS_DIR)}}.get(
+        command, {"graph": twoloop_file})
+
+    def argv(drop=None, extra=()):
+        flags = [t for opt, value in options.items() if opt != drop
+                 for t in ([opt] if value is None else [opt, value])]
+        return [command, *flags, *extra, *positional.values()]
+
+    assert main(argv()) == 0
+    dests = set(vars(cli._build_parser().parse_args(argv())))
+    assert dests == {"command", "func", *positional,
+                     *(opt[2:].replace("-", "_") for opt in options)}
+    for opt in REQUIRED_OPTIONS.get(command, []):
+        assert main(argv(drop=opt)) == 2, opt
+    assert main(argv(extra=["--json"] if command == "corpus" else ["--no-such-option"])) == 2
+    assert main([command, "--help"]) == 0
+
+
+def test_usage_lists_subcommands_in_order(capsys):
+    assert main(["--help"]) == 0
+    usage = capsys.readouterr().out
+    listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+    assert listed == list(CLI_SURFACE)
+    assert main(["no-such-command"]) == 2
+
+
+def test_parser_built_once_per_process_not_at_import(twoloop_file):
+    script = (
+        "import argparse, json, sys\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    made.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import graphck.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        "    graphck.cli.main(['classify', sys.argv[1]])\n"
+        "    counts.append(len(made))\n"
+        "sys.stderr.write(json.dumps([counts, made.count('graphck')]))\n")
+    src = os.path.dirname(os.path.dirname(G.__file__))
+    run = subprocess.run([sys.executable, "-c", script, twoloop_file],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    (at_import, first, second), roots = json.loads(run.stderr)
+    assert at_import == 0 and first > 0
+    assert second == first and roots == 1
 
 
 def test_lattice_of_large_strongly_connected_ring(tmp_path, capsys):
