@@ -323,9 +323,9 @@ _COMMANDS = (
     ("ideals", _ideals, True, "gauge-invariant ideal lattice report", (_GRAPH, _JSON)),
     ("classify", _classify, True, "nuclear-dimension bounds", (_GRAPH, _JSON)),
     ("blowup", _cmd_blowup, False, "emit the m-th blow-up graph as DSL",
-     (_GRAPH, _JSON, _M)),
+     (_GRAPH, _M)),
     ("jeong-park", _cmd_jeong_park, False, "closure subgraph containing the inputs",
-     (_GRAPH, _JSON, ("--vertices", {"default": "", "help": "comma-separated vertex ids"}),
+     (_GRAPH, ("--vertices", {"default": "", "help": "comma-separated vertex ids"}),
       ("--edges", {"default": "", "help": "comma-separated edge ids"}))),
     ("kappa", _kappa, True, "print the exact weight matrix", (_JSON, _M)),
     ("approx", _approx, True, "compression-vs-inclusion gap of a word",

@@ -10,6 +10,7 @@ it agrees with multiplication by m on both groups, with integer witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import ContractViolation
 from .graphs import (DirectedGraph, adjacency_matrix,
@@ -43,7 +44,7 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def _mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def _transpose(a: IntMatrix) -> IntMatrix:
@@ -114,6 +115,13 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     reduce its row and column by division, and when the corner divides the
     whole remaining block move on; otherwise mix an offending row in, which
     strictly shrinks the next pivot.
+
+    The pivot is the first least nonzero entry of the remaining block in
+    row-major order.  An entry of absolute value 1 ends the search, since no
+    later entry can be smaller, and a corner of 1 skips the divisibility
+    check, since it divides every entry.  Neither shortcut changes which
+    pivot is taken or which operations follow, so U, D and V are those of
+    the full scans; on I - A^t the pivot is nearly always 1.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
@@ -146,10 +154,15 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             pivot = None
             best = None
             for i in range(k, nrows):
+                row = d[i]
                 for j in range(k, ncols):
-                    x = abs(d[i][j])
+                    x = abs(row[j])
                     if x and (best is None or x < best):
                         best, pivot = x, (i, j)
+                        if x == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             if pivot[0] != k:
@@ -170,6 +183,8 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
                     changed = changed or bool(d[k][j])
             if changed:
                 continue
+            if p == 1:
+                break
             offender = None
             for i in range(k + 1, nrows):
                 if any(d[i][j] % p for j in range(k + 1, ncols)):
@@ -264,8 +279,9 @@ class MultiplicationCertificate:
         phi = connectivity_matrix(self.graph)
         b = induced_endomorphism_matrix(self.graph, self.m)
         n = len(phi)
+        index = {v.id: i for i, v in enumerate(self.graph.vertices)}
         for vid, x in self.k0_witnesses.items():
-            idx = next(i for i, v in enumerate(self.graph.vertices) if v.id == vid)
+            idx = index[vid]
             y = [b[i][idx] - (self.m if i == idx else 0) for i in range(n)]
             if _mat_vec(phi, x) != y:
                 return False

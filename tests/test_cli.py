@@ -268,6 +268,8 @@ def test_removed_options_exit_2(twoloop_file, capsys):
     assert main(["ideals", "--max-vertices", "5", twoloop_file]) == 2
     assert main(["classify", "--truncation", "4", twoloop_file]) == 2
     assert main(["corpus", str(CORPUS_DIR), "--json"]) == 2
+    assert main(["blowup", "--m", "2", "--json", twoloop_file]) == 2
+    assert main(["jeong-park", "--vertices", "v", "--json", twoloop_file]) == 2
 
 
 def test_ktheory_verify_m_exit_follows_pass(twoloop_file, capsys, monkeypatch):
@@ -293,8 +295,8 @@ CLI_SURFACE = {
     "ktheory": {"--json": None, "--verify-m": "2", "--subquotients": None},
     "ideals": {"--json": None},
     "classify": {"--json": None},
-    "blowup": {"--json": None, "--m": "2"},
-    "jeong-park": {"--json": None, "--vertices": "v", "--edges": "e"},
+    "blowup": {"--m": "2"},
+    "jeong-park": {"--vertices": "v", "--edges": "e"},
     "kappa": {"--json": None, "--m": "2"},
     "approx": {"--json": None, "--depth": "6", "--m": "2", "--mu": "v", "--nu": "v"},
     "verify-hom": {"--json": None, "--depth": "3", "--which": "iota", "--m": "2"},
@@ -324,7 +326,7 @@ def test_cli_surface(command, twoloop_file, capsys):
                      *(opt[2:].replace("-", "_") for opt in options)}
     for opt in REQUIRED_OPTIONS.get(command, []):
         assert main(argv(drop=opt)) == 2, opt
-    assert main(argv(extra=["--json"] if command == "corpus" else ["--no-such-option"])) == 2
+    assert main(argv(extra=["--no-such-option" if "--json" in options else "--json"])) == 2
     assert main([command, "--help"]) == 0
 
 
