@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 import graphck as G
@@ -220,3 +223,50 @@ def test_blowup_emits_parseable_dsl(rng):
     ids = [x.id for x in bg.graph.vertices] + [x.id for x in bg.graph.edges]
     assert len(ids) == len(set(ids))
     assert parse_graph(emit_graph(bg.graph)) == bg.graph
+
+
+def _collision_graph() -> G.DirectedGraph:
+    """Ids that collide with synthesized tokens: vertex x0 with path (x0),
+    edge x0_x0 with path (x0, x0), so `fresh` has to append underscores."""
+    return G.DirectedGraph.build(
+        ["v", "x0"], [("x0", "v", "v"), ("x0_x0", "v", "x0"), ("y", "x0", "v"),
+                      ("x0__v", "x0", "x0")])
+
+
+# sha256 of the emitted blow-up and of every vertex and edge lookup, m = 1..5,
+# on the graphs of `test_blowup_graphs_and_lookups_are_pinned`.  Vertex and
+# edge ids, their order and the lookups are part of every `blowup` output:
+# update this digest only as a declared result change.
+BLOWUP_DIGEST = "fc81d4a6d646ddca92fe75b1677e20e41bc623514c6e37ccf291166d5f235119"
+
+
+def test_blowup_graphs_and_lookups_are_pinned():
+    rng = random.Random(52103)
+    graphs = [_collision_graph(), two_loop(), mixed_m()]
+    graphs += [random_graph(rng, max_vertices=4, max_edges=6) for _ in range(6)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for m in range(1, 6):
+            bg = G.blowup_graph(g, m)
+            digest.update(G.emit_graph(bg.graph).encode())
+            digest.update(repr([(v.id, bg.path_of_vertex(v).id)
+                                for v in bg.graph.vertices]).encode())
+            digest.update(repr([(em.id, e.id, p.id) for em in bg.graph.edges
+                                for e, p in [bg.pair_of_edge(em)]]).encode())
+    assert digest.hexdigest() == BLOWUP_DIGEST
+
+
+def test_blowup_lookups_refuse_what_is_not_there():
+    g = two_loop()
+    e, f = g.edge("e"), g.edge("f")
+    bg = G.blowup_graph(g, 2)
+    with pytest.raises(ContractViolation, match="length"):
+        bg.vertex_of_path(Path((e, f)))
+    stranger = G.DirectedGraph.build(["w"], [("e", "w", "w")])
+    for p in (Path.at(stranger.vertex("w")), Path((stranger.edge("e"),))):
+        with pytest.raises(ContractViolation):
+            bg.vertex_of_path(p)
+    for pair in ((e, Path((e, f))), (e, Path.at(stranger.vertex("w"))),
+                 (stranger.edge("e"), Path.at(g.vertex("v")))):
+        with pytest.raises(ContractViolation, match="not an edge"):
+            bg.edge_of_pair(*pair)

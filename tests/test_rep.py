@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +14,11 @@ from graphck.errors import ContractViolation, GraphckError, ResourceLimit
 from graphck.graphs import Path, paths, paths_from
 from graphck.rep import KappaMatrix, compression_route
 from graphck.sparse import RatMatrix
-from graphck.symbolic import Word, iota_path_image, vertex_projection
+from graphck.symbolic import FormalSum, Word, iota_path_image, vertex_projection
 
 import rep_oracles
-from conftest import (REP_CORPUS, mixed_m, single_edge, single_loop, two_cycle,
-                      two_loop)
+from conftest import (REP_CORPUS, mixed_m, random_graph, single_edge, single_loop,
+                      two_cycle, two_loop)
 from rep_oracles import (check_matrix_units, identity_matrix, lambda_map,
                          operator_norm, schur_multiply, schur_via_projections)
 
@@ -522,3 +524,40 @@ def test_kappa_matrix_is_positive_semidefinite():
     for m in range(1, 21):
         kf = np.array([[float(x) for x in row] for row in G.kappa_matrix(m).entries])
         assert np.linalg.eigvalsh(kf).min() >= -1e-9
+
+
+def _rows(op: G.RepOperator) -> list:
+    return [op.creations, op.star_creations,
+            sorted((i, sorted(row.items())) for i, row in op.matrix.rows.items())]
+
+
+# sha256 of the basis, offsets and operator matrices at cutoff 1..5 on the
+# graphs of `test_basis_and_operators_are_pinned`.  Basis order fixes every
+# matrix index the representation reports: update this digest only as a
+# declared result change.
+REP_DIGEST = "11792bff04996f7864b2ff645dd7d84571d47c4b43c1ed5c4b7d6d6adbb90f23"
+
+
+def test_basis_and_operators_are_pinned():
+    rng = random.Random(60311)
+    graphs = [two_loop(), mixed_m(), two_cycle()]
+    graphs += [random_graph(rng, max_vertices=3, max_edges=4) for _ in range(4)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        legs = paths(g, 0, 3)
+        words = [Word(a, b) for a in legs for b in legs if a.range == b.range]
+        mixed = FormalSum(g, {w: Fraction(k + 1, 3) for k, w in enumerate(words)})
+        for cutoff in range(1, 6):
+            rep = G.build_rep(g, cutoff)
+            ops = [rep.t(e) for e in g.edges] + [rep.q(v) for v in g.vertices]
+            ops += [rep.t_path(mu) for mu in legs]
+            ops += [rep.word_operator(w.alpha, w.beta) for w in words]
+            ops.append(rep.evaluate(mixed))
+            for m in range(1, cutoff // 2 + 1):
+                ops += [G.band_compression(rep, m, w) for w in words]
+            digest.update(repr(([p.id for p in rep.basis], rep.offsets,
+                                [_rows(op) for op in ops])).encode())
+        with pytest.raises(ResourceLimit) as err:
+            G.build_rep(g, 5, max_basis=len(g.vertices) + len(g.edges) - 1)
+        digest.update(str(err.value).encode())
+    assert digest.hexdigest() == REP_DIGEST
