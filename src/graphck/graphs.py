@@ -19,6 +19,9 @@ from .errors import ContractViolation, ResourceLimit
 class Vertex:
     id: str
 
+    def __hash__(self) -> int:
+        return hash(self.id)
+
     def __repr__(self) -> str:
         return f"Vertex({self.id})"
 
@@ -28,6 +31,9 @@ class Edge:
     id: str
     source: Vertex
     range: Vertex
+
+    def __hash__(self) -> int:  # equal edges share an id; __eq__ still compares all fields
+        return hash(self.id)
 
     def __repr__(self) -> str:
         return f"Edge({self.id}: {self.source.id}->{self.range.id})"
@@ -48,7 +54,7 @@ class Path:
             if base is not None:
                 raise ContractViolation("nonempty path must not carry a base vertex")
             for e, f in zip(edges, edges[1:]):
-                if e.range != f.source:
+                if e.range is not f.source and e.range != f.source:
                     raise ContractViolation(
                         f"edges {e.id} and {f.id} do not compose: "
                         f"r({e.id})={e.range.id} but s({f.id})={f.source.id}"
@@ -135,11 +141,13 @@ class DirectedGraph:
             seen_eids.add(e.id)
             if e.source not in self._vindex or e.range not in self._vindex:
                 raise ContractViolation(f"edge {e.id} has an endpoint outside the graph")
-        self._out: dict[Vertex, tuple[Edge, ...]] = {v: () for v in self.vertices}
-        self._in: dict[Vertex, tuple[Edge, ...]] = {v: () for v in self.vertices}
+        out: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
+        into: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            self._out[e.source] += (e,)
-            self._in[e.range] += (e,)
+            out[e.source].append(e)
+            into[e.range].append(e)
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._in = {v: tuple(es) for v, es in into.items()}
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]] = ()) -> "DirectedGraph":

@@ -42,6 +42,33 @@ def test_adjacency_degree_sums(rng):
             assert sum(row[i] for row in a) == len(g.in_edges(v))
 
 
+def test_adjacency_keeps_edge_insertion_order():
+    # parallel edges and loops interleaved across sources and ranges
+    g = G.DirectedGraph.build(
+        ["u", "v"], [("a", "u", "v"), ("l1", "v", "v"), ("b", "u", "v"), ("c", "v", "u"),
+                     ("l2", "v", "v"), ("d", "u", "u"), ("e", "u", "v")])
+    u, v = g.vertex("u"), g.vertex("v")
+    assert [e.id for e in g.out_edges(u)] == ["a", "b", "d", "e"]
+    assert [e.id for e in g.out_edges(v)] == ["l1", "c", "l2"]
+    assert [e.id for e in g.in_edges(u)] == ["c", "d"]
+    assert [e.id for e in g.in_edges(v)] == ["a", "l1", "b", "l2", "e"]
+    assert all(isinstance(g.out_edges(x), tuple) and isinstance(g.in_edges(x), tuple)
+               for x in (u, v))
+
+
+def test_equal_vertices_and_edges_share_dict_keys():
+    text = "vertex a\nvertex b\nvertex c\nedge e : a -> b\n"
+    g1, g2 = G.parse_graph(text), G.parse_graph(text)
+    (e1,), (e2,) = g1.edges, g2.edges
+    assert e1 is not e2 and e1.source is not e2.source
+    keys = {e1: "edge", e1.source: "vertex", G.Path((e1,)): "path"}
+    assert keys[e2] == "edge" and keys[e2.source] == "vertex"
+    assert keys[G.Path((e2,))] == "path"
+    a, b, c = g1.vertices
+    assert G.Edge("e", a, b) == e2 and G.Edge("e", a, b) != G.Edge("e", a, c)
+    assert G.Edge("e", a, c) not in keys and G.Vertex("a") in keys
+
+
 def test_paths_two_loop_counts():
     g = two_loop()
     assert [p.id for p in G.paths(g, 0, 1)] == ["v"]
