@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .graphs import (DirectedGraph, Edge, Path, Vertex, cycle_vertices,
-                     first_return_counts, paths, reaching, sinks,
-                     unique_first_return)
+from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, cycle_vertices,
+                     first_return_counts, reaching, sinks, unique_first_return)
 
 
 @dataclass(frozen=True)
@@ -59,41 +58,29 @@ class BlowupGraph:
         def path_token(p: Path) -> str:
             return p.base.id if not p.edges else "_".join(e.id for e in p.edges)
 
-        self._vertex_of_path: dict[Path, Vertex] = {}
-        self._path_of_vertex: dict[Vertex, Path] = {}
-        vs: list[Vertex] = []
+        # vertex i is tree path i; (e, p) starts at e p while that is shorter than m
+        tree = self.tree = PathTree(base, depth=m - 1)
         vertex_ids: set[str] = set()
-        by_source: dict[Vertex, list[Path]] = {v: [] for v in base.vertices}
-        for p in paths(base, 0, m):
-            v = Vertex(fresh(vertex_ids, path_token(p)))
-            self._vertex_of_path[p] = v
-            self._path_of_vertex[v] = p
-            vs.append(v)
-            by_source[p.source].append(p)
+        vs = [Vertex(fresh(vertex_ids, path_token(p))) for p in tree.paths]
         edge_ids: set[str] = set()
-        es: list[Edge] = []
         self._edge_of_pair: dict[tuple[Edge, Path], Edge] = {}
-        self._pair_of_edge: dict[Edge, tuple[Edge, Path]] = {}
         for e in base.edges:
-            for p in by_source[e.range]:
-                if len(p) < m - 1:
-                    src = self._vertex_of_path[Path((e,)) * p]
-                else:
-                    src = self._vertex_of_path[Path.at(e.source)]
-                rng = self._vertex_of_path[p]
-                new = Edge(fresh(edge_ids, f"{e.id}__{rng.id}"), src, rng)
-                es.append(new)
-                self._edge_of_pair[(e, p)] = new
-                self._pair_of_edge[new] = (e, p)
-        self.graph = DirectedGraph(vs, es)
+            longer = tree.prefix_map(Path((e,)))
+            top = tree.from_vertex[e.source][0]
+            for i in tree.from_vertex[e.range]:
+                self._edge_of_pair[(e, tree.paths[i])] = Edge(
+                    fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[longer.get(i, top)], vs[i])
+        self._pair_of_edge = {new: pair for pair, new in self._edge_of_pair.items()}
+        self.graph = DirectedGraph(vs, self._edge_of_pair.values())
 
     def vertex_of_path(self, p: Path) -> Vertex:
-        if p not in self._vertex_of_path:
-            raise ContractViolation(f"path {p.id} has length >= m={self.m}")
-        return self._vertex_of_path[p]
+        i = self.tree.find(p)
+        if i is None:
+            raise ContractViolation(f"path {p.id} is not a base path of length < m={self.m}")
+        return self.graph.vertices[i]
 
     def path_of_vertex(self, v: Vertex) -> Path:
-        return self._path_of_vertex[v]
+        return self.tree.paths[self.graph.vertex_index(v)]
 
     def edge_of_pair(self, e: Edge, p: Path) -> Edge:
         if (e, p) not in self._edge_of_pair:

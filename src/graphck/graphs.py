@@ -9,6 +9,7 @@ byte-stable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -205,27 +206,82 @@ def adjacency_matrix(g: DirectedGraph) -> list[list[int]]:
     return mat
 
 
+class PathTree:
+    """The paths from root vertices (by default all), grown one length at a time.
+
+    Layout: the paths of length L, in lex order of edge insertion index, are
+    `paths[offsets[L]:offsets[L + 1]]`.  Path i's one-edge extensions are
+    contiguous from `first_child[i]` (kept for all but the last layer), in
+    `out_edges` order; `parent[i]` is i without its last edge (-1 at a root).
+    `from_vertex[v]` lists the indices of the paths from v, ascending.
+    """
+
+    __slots__ = ("graph", "paths", "parent", "offsets", "first_child", "from_vertex", "_edge_pos")
+
+    def __init__(self, g: DirectedGraph, roots: Iterable[Vertex] | None = None, depth: int = 0):
+        self.graph = g
+        self.paths = [Path.at(v) for v in (g.vertices if roots is None else roots)]
+        self.parent = [-1] * len(self.paths)
+        self.offsets = [0, len(self.paths)]
+        self.first_child: list[int] = []
+        self.from_vertex: dict[Vertex, list[int]] = {v: [] for v in g.vertices}
+        self.from_vertex.update((p.base, [i]) for i, p in enumerate(self.paths))
+        self._edge_pos = {e: k for v in g.vertices for k, e in enumerate(g.out_edges(v))}
+        for _ in range(depth):
+            self.grow()
+
+    def grow(self) -> None:
+        """Append the layer of one-edge extensions of the last layer."""
+        paths = self.paths
+        for i in range(self.offsets[-2], self.offsets[-1]):
+            p = paths[i]
+            start = len(paths)
+            self.first_child.append(start)
+            paths.extend(Path(p.edges + (e,)) for e in self.graph.out_edges(p.range))
+            self.parent.extend([i] * (len(paths) - start))
+            self.from_vertex[p.source].extend(range(start, len(paths)))
+        self.offsets.append(len(paths))
+
+    def find(self, p: Path) -> int | None:
+        """Index of p, or None when p is not in the tree."""
+        at = self.from_vertex.get(p.source)
+        i = at[0] if at else None
+        for e in p.edges:
+            k = self._edge_pos.get(e)
+            if i is None or k is None or i >= len(self.first_child):
+                return None
+            i = self.first_child[i] + k
+        return i
+
+    def prefix_map(self, mu: Path) -> dict[int, int]:
+        """i(p) -> i(mu p) for the paths p from r(mu) with mu p in the tree,
+        ascending in i(p); r(mu) must be a root.  A child's image is the
+        same-position child of its parent's image."""
+        up = self.find(mu)
+        if up is None:
+            return {}
+        domain = self.from_vertex[mu.range]
+        stop = bisect_left(domain, self.offsets[-1 - len(mu)])
+        fc, parent = self.first_child, self.parent
+        out = {domain[0]: up}
+        for i in domain[1:stop]:
+            j = parent[i]
+            out[i] = fc[out[j]] + i - fc[j]
+        return out
+
+
 def paths(g: DirectedGraph, lo: int, hi: int) -> list[Path]:
     """All paths of length in [lo, hi), length-then-lex ordered."""
     if lo > hi:
         raise ContractViolation(f"need lo <= hi, got {lo} > {hi}")
-    out: list[Path] = []
-    layer = [Path.at(v) for v in g.vertices]
-    length = 0
-    while length < hi and layer:
-        if length >= lo:
-            out.extend(layer)
-        layer = [p * Path((e,)) for p in layer for e in g.out_edges(p.range)]
-        length += 1
-    return out
+    tree = PathTree(g, depth=hi - 1)
+    return tree.paths[tree.offsets[lo]:tree.offsets[hi]]
 
 
 def paths_from(g: DirectedGraph, v: Vertex, length: int) -> list[Path]:
     """All paths of the given length with source v, in lex order."""
-    layer = [Path.at(v)]
-    for _ in range(length):
-        layer = [p * Path((e,)) for p in layer for e in g.out_edges(p.range)]
-    return layer
+    tree = PathTree(g, (v,), length)
+    return tree.paths[tree.offsets[length]:]
 
 
 def sinks(g: DirectedGraph) -> list[Vertex]:

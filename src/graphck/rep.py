@@ -10,23 +10,23 @@ length, so that exact region is a prefix of basis indices.
 
 The 0/1 operators -- generators, T_mu, words T_alpha T_beta*, path
 projections, matrix units and window projections -- are partial injections
-of basis paths.  Each is built from an index map (column -> row) composed
-from the edge maps T_e: i(p) -> i(e p), never by a matrix product; only
+of basis paths.  Each is built from an index map (column -> row) read off
+the basis path tree, T_mu: i(p) -> i(mu p), never by a matrix product; only
 weighted sums carry rational entries.  A built representation is immutable
 and all operations are pure, so independent scans parallelize.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 from .construct import BlowupGraph, embed_path
 from .errors import ContractViolation, ResourceLimit
-from .graphs import DirectedGraph, Edge, Path, Vertex, paths_from, sinks
+from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, paths_from, sinks
 from .sparse import RatMatrix
 from .symbolic import AlgebraMode, FormalSum, Word, iota_path_image, normal_form
 
@@ -88,6 +88,11 @@ def _basis_bound(max_basis: int | None) -> tuple[int, str]:
             f"GRAPHCK_MAX_BASIS must be an integer, got {env!r}") from None
 
 
+def _word_map(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """T_alpha T_beta*, i(beta tau) -> i(alpha tau), from the maps a, b of T_alpha, T_beta."""
+    return {b[c]: r for c, r in a.items() if c in b}
+
+
 def _injection(n: int, cmap: dict[int, int]) -> RatMatrix:
     """The 0/1 matrix sending column c to row cmap[c]."""
     m = RatMatrix(n, n)
@@ -98,11 +103,10 @@ def _injection(n: int, cmap: dict[int, int]) -> RatMatrix:
 class TruncatedRep:
     """Concrete generators on the span of paths of length at most N.
 
-    The basis is built layer by layer, so it is sorted by length: `offsets[L]`
-    is the index of the first path of length L (`offsets[cutoff + 1]` is the
-    dimension).  The one-edge extensions of a path are contiguous, in the
-    order of `out_edges` of its range, which gives the edge maps by index
-    arithmetic alone.
+    The basis is a `PathTree` grown to length N, so it is sorted by length:
+    `offsets[L]` is the index of the first path of length L (`offsets[cutoff + 1]`
+    is the dimension).  T_mu maps column i(tau) to row i(mu tau), which the
+    tree's `prefix_map` gives by index arithmetic alone.
     """
 
     def __init__(self, graph: DirectedGraph, cutoff: int, max_basis: int | None = None):
@@ -111,81 +115,36 @@ class TruncatedRep:
         bound, knob = _basis_bound(max_basis)
         self.graph = graph
         self.cutoff = cutoff
-        basis = [Path.at(v) for v in graph.vertices]
-        parent = [-1] * len(basis)
-        last: list[Edge | None] = [None] * len(basis)
-        source = list(graph.vertices)
-        first_child: list[int] = []  # index of the first one-edge extension
-        offsets = [0]
+        tree = self.tree = PathTree(graph)
         for length in range(cutoff + 1):
-            start = offsets[-1]
-            offsets.append(len(basis))
-            if len(basis) > bound:
+            if length:
+                tree.grow()
+            if len(tree.paths) > bound:
                 raise ResourceLimit(
-                    f"truncated basis has {len(basis)} paths of length <= {length}, over "
+                    f"truncated basis has {len(tree.paths)} paths of length <= {length}, over "
                     f"the bound {bound}; lower the cutoff or raise {knob}")
-            if length == cutoff:
-                break
-            for i in range(start, len(basis)):
-                p = basis[i]
-                first_child.append(len(basis))
-                for e in graph.out_edges(p.range):
-                    basis.append(Path(p.edges + (e,)))
-                    parent.append(i)
-                    last.append(e)
-                    source.append(source[i])
-        self.basis: list[Path] = basis
-        self.offsets: list[int] = offsets
-        self.index: dict[Path, int] = {p: i for i, p in enumerate(basis)}
-        # basis indices of the paths starting at each vertex, ascending
-        self._from: dict[Vertex, list[int]] = {v: [] for v in graph.vertices}
-        for i, v in enumerate(source):
-            self._from[v].append(i)
-        # T_e on the paths p from r(e) shorter than the cutoff, by index
-        # recursion e(p'f) = (e p')f; a parent precedes its children
-        pos = {e: k for v in graph.vertices for k, e in enumerate(graph.out_edges(v))}
-        top = offsets[cutoff]
-        self._tmap: dict[Edge, dict[int, int]] = {}
-        for e in graph.edges:
-            domain = self._from[e.range]
-            cmap = {domain[0]: first_child[graph.vertex_index(e.source)] + pos[e]}
-            for i in domain[1:bisect_left(domain, top)]:
-                cmap[i] = first_child[cmap[parent[i]]] + pos[last[i]]
-            self._tmap[e] = cmap
+        self.basis: list[Path] = tree.paths
+        self.offsets: list[int] = tree.offsets
+        self.index: dict[Path, int] = {p: i for i, p in enumerate(self.basis)}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def t(self, e: Edge) -> RepOperator:
-        return RepOperator(_injection(self.dimension, self._tmap[e]), 1, 0)
+        return self.t_path(Path((e,)))
 
     def q(self, v: Vertex) -> RepOperator:
-        return RepOperator(_injection(self.dimension, {i: i for i in self._from[v]}), 0, 0)
-
-    def _path_map(self, mu: Path) -> dict[int, int]:
-        """T_mu as column -> row: i(tau) -> i(mu tau), composed from edge maps."""
-        if not mu.edges:
-            return {i: i for i in self._from[mu.base]}
-        mapping = self._tmap[mu.edges[-1]]
-        for e in reversed(mu.edges[:-1]):
-            step = self._tmap[e]
-            mapping = {c: step[r] for c, r in mapping.items() if r in step}
-        return mapping
-
-    def _word_map(self, alpha: Path, beta: Path) -> dict[int, int]:
-        """T_alpha T_beta* as column -> row: i(beta tau) -> i(alpha tau)."""
-        a = self._path_map(alpha)
-        b = self._path_map(beta)
-        return {b[c]: r for c, r in a.items() if c in b}
+        return self.t_path(Path.at(v))
 
     def t_path(self, mu: Path) -> RepOperator:
         """T_mu: column xi_tau -> row xi_{mu tau}."""
-        return RepOperator(_injection(self.dimension, self._path_map(mu)), len(mu), 0)
+        return RepOperator(_injection(self.dimension, self.tree.prefix_map(mu)), len(mu), 0)
 
     def word_operator(self, alpha: Path, beta: Path) -> RepOperator:
         """T_alpha T_beta*, with the tight length-shift creation bounds."""
-        return RepOperator(_injection(self.dimension, self._word_map(alpha, beta)),
+        word = _word_map(self.tree.prefix_map(alpha), self.tree.prefix_map(beta))
+        return RepOperator(_injection(self.dimension, word),
                            max(0, len(alpha) - len(beta)), max(0, len(beta) - len(alpha)))
 
     def exact_columns(self, creations: int) -> range:
@@ -208,12 +167,13 @@ class TruncatedRep:
         rows: dict[int, dict[int, Fraction]] = {}
         creations = 0
         star_creations = 0
+        leg = functools.cache(self.tree.prefix_map)  # terms share their legs
         for w, c in s.terms.items():
             if w.unit is not None:
                 raise ContractViolation("tensored words have no truncated-representation matrix")
-            for col, row in self._word_map(w.alpha, w.beta).items():
+            for col, row in _word_map(leg(w.alpha), leg(w.beta)).items():
                 dst = rows.setdefault(row, {})
-                dst[col] = dst.get(col, 0) + c
+                dst[col] = dst[col] + c if col in dst else c
             creations = max(creations, len(w.alpha) - len(w.beta))
             star_creations = max(star_creations, len(w.beta) - len(w.alpha))
         total = RatMatrix(self.dimension, self.dimension)
@@ -314,8 +274,8 @@ def _windowed_sum(rep: TruncatedRep, m: int, shift: int, mu: Path, nu: Path) -> 
     weights = {t: kappa.entry0(a + t - shift, b + t - shift) for t in range(t_lo, t_hi)}
     # e_{mu tau, nu tau} for each extension tau: the word map T_mu T_nu*
     # restricted to the columns nu tau with |tau| in [t_lo, t_hi)
-    mu_map = rep._path_map(mu)
-    nu_map = rep._path_map(nu)
+    mu_map = rep.tree.prefix_map(mu)
+    nu_map = rep.tree.prefix_map(nu)
     total = RatMatrix(rep.dimension, rep.dimension)
     for tau, row in mu_map.items():
         c = weights.get(len(rep.basis[tau]))

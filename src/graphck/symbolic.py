@@ -296,11 +296,8 @@ def iota_image(bg: BlowupGraph, gen: Vertex | Edge) -> FormalSum:
     g = bg.graph
     terms: dict[Word, Fraction] = {}
     if isinstance(gen, Vertex):
-        for v in g.vertices:
-            if bg.path_of_vertex(v).source == gen:
-                at = Path.at(v)
-                terms[Word(at, at)] = Fraction(1)
-        return FormalSum(g, terms)
+        ats = [Path.at(g.vertices[i]) for i in bg.tree.from_vertex.get(gen, ())]
+        return FormalSum(g, {Word(at, at): Fraction(1) for at in ats})
     for em in g.edges:
         base_edge, _ = bg.pair_of_edge(em)
         if base_edge == gen:
