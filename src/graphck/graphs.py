@@ -1,10 +1,10 @@
 """Finite directed multigraphs, path combinatorics and vertex-set machinery.
 
-Everything here is an immutable value; all operations are pure functions, so
-instances can be shared freely across threads.  Vertices and edges keep their
-insertion order, and paths are ordered by length and then left-to-right by
-edge insertion index, so every matrix and report built downstream is
-byte-stable.
+Graphs and paths are immutable values and the functions are pure; only a
+`PathTree` grows, and it is the one place that enumerates paths.  Vertices
+and edges keep their insertion order, and paths are ordered by length and
+then left-to-right by edge insertion index, so every matrix and report built
+downstream is byte-stable.
 """
 
 from __future__ import annotations
@@ -275,13 +275,13 @@ def paths(g: DirectedGraph, lo: int, hi: int) -> list[Path]:
     if lo > hi:
         raise ContractViolation(f"need lo <= hi, got {lo} > {hi}")
     tree = PathTree(g, depth=hi - 1)
-    return tree.paths[tree.offsets[lo]:tree.offsets[hi]]
+    return tree.paths[tree.offsets[max(lo, 0)]:tree.offsets[max(hi, 0)]]
 
 
 def paths_from(g: DirectedGraph, v: Vertex, length: int) -> list[Path]:
     """All paths of the given length with source v, in lex order."""
     tree = PathTree(g, (v,), length)
-    return tree.paths[tree.offsets[length]:]
+    return tree.paths[tree.offsets[max(length, 0)]:]
 
 
 def sinks(g: DirectedGraph) -> list[Vertex]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import graphck as G
 from graphck.errors import ContractViolation
-from graphck.graphs import (cycle_vertices, first_return_counts, is_hereditary,
+from graphck.graphs import (PathTree, cycle_vertices, first_return_counts, is_hereditary,
                             is_saturated, paths_from, unique_first_return)
 
 from conftest import mixed_m, random_graph, single_edge, single_loop, two_cycle, two_loop
@@ -95,6 +95,9 @@ def test_duplicate_vertex_id_rejected():
 def test_paths_bad_range():
     with pytest.raises(ContractViolation):
         G.paths(two_loop(), 3, 2)
+    # negative bounds count as 0, as in the layer-by-layer enumeration
+    assert G.paths(two_loop(), -2, -1) == []
+    assert [p.id for p in G.paths(two_loop(), -1, 2)] == ["v", "e", "f"]
 
 
 def test_first_return_two_loop():
@@ -327,10 +330,43 @@ def test_cycle_vertices_multigraph():
     assert cycle_vertices(g2) == frozenset(g2.vertices)
 
 
-def test_paths_from_matches_paths():
+def test_paths_from_matches_paths(rng):
     g = two_loop()
     v = g.vertex("v")
     assert [p.id for p in paths_from(g, v, 2)] == ["e.e", "e.f", "f.e", "f.f"]
+    assert paths_from(g, v, -1) == [G.Path.at(v)]  # a negative length counts as 0
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=4, max_edges=7)
+        for v in g.vertices:
+            for length in range(4):
+                layer = [p for p in G.paths(g, length, length + 1) if p.source == v]
+                assert paths_from(g, v, length) == layer
+
+
+def test_path_tree_layout_find_and_prefix_map(rng):
+    for _ in range(25):
+        g = random_graph(rng, max_vertices=4, max_edges=7)
+        tree = PathTree(g, depth=3)
+        assert tree.paths == G.paths(g, 0, 4) and len(tree.offsets) == 5
+        for length in range(4):
+            layer = tree.paths[tree.offsets[length]:tree.offsets[length + 1]]
+            assert all(len(p) == length for p in layer)
+        for i, p in enumerate(tree.paths):
+            assert tree.find(p) == i and i in tree.from_vertex[p.source]
+            if p.edges:
+                assert tree.paths[tree.parent[i]] == p.prefix(len(p) - 1)
+                k = g.out_edges(p.edges[-1].source).index(p.edges[-1])
+                assert tree.first_child[tree.parent[i]] + k == i
+        for v, ids in tree.from_vertex.items():
+            assert ids == sorted(ids) and [tree.paths[i].source for i in ids] == [v] * len(ids)
+        for mu in tree.paths:
+            want = {i: tree.find(mu * tree.paths[i]) for i in tree.from_vertex[mu.range]}
+            assert tree.prefix_map(mu) == {i: j for i, j in want.items() if j is not None}
+        for p in G.paths(g, 4, 5):
+            assert tree.find(p) is None
+        stranger = G.DirectedGraph.build(["s"], [("l", "s", "s")])
+        assert tree.find(G.Path((stranger.edge("l"),))) is None
+        assert tree.prefix_map(G.Path.at(stranger.vertex("s"))) == {}
 
 
 def test_cycle_vertices_against_networkx(rng):
