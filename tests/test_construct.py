@@ -197,6 +197,42 @@ def test_jeong_park_properties(rng):
         assert set(sub.vertices) <= set(g.vertices) and set(sub.edges) <= set(g.edges)
 
 
+
+def _ring(n: int) -> G.DirectedGraph:
+    """Ring i -> i+1 (a), i -> i+2 (b) on n vertices."""
+    return G.DirectedGraph.build(
+        [f"v{i}" for i in range(n)],
+        [x for i in range(n) for x in ((f"a{i}", f"v{i}", f"v{(i + 1) % n}"),
+                                       (f"b{i}", f"v{i}", f"v{(i + 2) % n}"))])
+
+
+# sha256 of the emitted closure subgraph, or the refusal message, of every
+# call in `test_jeong_park_outputs_and_refusals_are_pinned`.  The shortest-walk
+# tie-breaks decide which edges the closure keeps, and the subgraph is the
+# `jeong-park` output: update only as a declared result change.
+JEONG_PARK_DIGEST = "c44d21f3d0acfe5517f59327029ddace344ef1a1781fd6074eed0fa3e2d87de7"
+
+
+def test_jeong_park_outputs_and_refusals_are_pinned():
+    rng = random.Random(70913)
+    graphs = [_ring(400), _ring(7), two_loop(), mixed_m(), single_loop()]
+    graphs += [random_condition_k_graph(rng, max_vertices=7) for _ in range(80)]
+    graphs += [random_graph(rng, max_vertices=6, max_edges=12, no_sinks=True) for _ in range(60)]
+    digest = hashlib.sha256()
+    refused = 0
+    for g in graphs:
+        for _ in range(2):
+            v_set = set(rng.sample(list(g.vertices), rng.randint(0, min(3, len(g.vertices)))))
+            f_set = set(rng.sample(list(g.edges), rng.randint(0, min(2, len(g.edges)))))
+            try:
+                out = G.emit_graph(G.jeong_park_subgraph(g, v_set, f_set))
+            except ContractViolation as exc:
+                out = f"refused: {exc}"
+                refused += 1
+            digest.update(out.encode())
+    assert 0 < refused < len(graphs) * 2
+    assert digest.hexdigest() == JEONG_PARK_DIGEST
+
 def test_add_tails():
     g = single_edge()
     t = G.add_tails(g, 2)

@@ -204,3 +204,68 @@ def test_snf_without_unit_entries_reaches_the_divisibility_step(rng):
         snf = smith_normal_form(mat)
         assert snf.verify()
         assert snf.diagonal == smith_diagonal_by_minors(mat)
+
+
+def _component_graph(rng: random.Random, n_comp: int) -> G.DirectedGraph:
+    """Sink-free graph of n_comp strongly connected components joined by
+    one-way edges from earlier components to later ones.  A component is a
+    cycle on 1-3 vertices with up to two extra inner edges, or, when a later
+    component exists to feed, a lone transit vertex without a loop."""
+    vs: list[str] = []
+    es: list[tuple[str, str, str]] = []
+    comps: list[list[str]] = []
+    for c in range(n_comp):
+        if c < n_comp - 1 and rng.random() < 0.2:
+            comps.append([f"c{c}t"])
+            vs.append(f"c{c}t")
+            continue
+        members = [f"c{c}v{i}" for i in range(rng.randint(1, 3))]
+        vs += members
+        es += [(f"c{c}e{i}", v, members[(i + 1) % len(members)]) for i, v in enumerate(members)]
+        es += [(f"c{c}x{k}", rng.choice(members), rng.choice(members))
+               for k in range(rng.randint(0, 2))]
+        comps.append(members)
+    for c in range(n_comp - 1):
+        transit = comps[c][0].endswith("t")
+        for k in range(rng.randint(1, 2) if transit else rng.randint(0, 1)):
+            later = comps[rng.randrange(c + 1, n_comp)]
+            es.append((f"j{c}_{k}", rng.choice(comps[c]), rng.choice(later)))
+    return G.DirectedGraph.build(vs, es)
+
+
+def _sweep_graphs(seed: int, count: int) -> list[G.DirectedGraph]:
+    """`count` seeded component graphs whose lattices have 4-40 sets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = _component_graph(rng, rng.randint(2, 7))
+        if 4 <= len(G.enumerate_hereditary_saturated(g)) <= 40:
+            out.append(g)
+    return out
+
+
+# sha256 of (target, kind, status, k0_witnesses, k1_basis) of every entry of
+# the m = 2, 3 subquotient sweeps of `test_subquotient_sweep_is_pinned`.  The
+# entries, their order and their certificates are the `verifications` of
+# `ktheory --verify-m M --subquotients`: update only as a declared result change.
+SWEEP_DIGEST = "6adab5a0612bbe8c37f15d5c22f8220bea08f0c14de9fac26bb9f7f93f7d40c7"
+
+
+def test_subquotient_sweep_is_pinned():
+    digest = hashlib.sha256()
+    entries = 0
+    for g in _sweep_graphs(60311, 30):
+        for m in (2, 3):
+            report = G.verify_on_subquotients(g, m)
+            assert report.ok
+            for e in report.entries:
+                digest.update(repr((e.target, e.kind, e.status, e.certificate.k0_witnesses,
+                                    e.certificate.k1_basis)).encode())
+            entries += len(report.entries)
+    assert entries > 1000
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def test_verify_multiplication_refuses_a_sink():
+    with pytest.raises(ContractViolation, match=r"sink \(w\)"):
+        G.verify_multiplication_by_m(mixed_m(), 2)
