@@ -120,7 +120,7 @@ def _ktheory(g: DirectedGraph, args):
             for e in report.entries:
                 payload["verifications"].append({
                     "target": e.target, "m": args.verify_m,
-                    "pass": e.status != "fail",
+                    "pass": e.status == "pass",
                     "status": e.status,
                     "certificate": _cert_payload(e.certificate)})
             ok = report.ok
@@ -143,9 +143,7 @@ def _whole_graph_m(g: DirectedGraph, m: int) -> dict:
     return {"m": m, "pass": cert.reverify(), "certificate": _cert_payload(cert)}
 
 
-def _cert_payload(cert) -> dict | None:
-    if cert is None:
-        return None
+def _cert_payload(cert) -> dict:
     return {"ok": cert.ok,
             "k0_witnesses": cert.k0_witnesses,
             "k1_basis": cert.k1_basis,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphck as G
+from graphck import ktheory
 from graphck.errors import ContractViolation
 from graphck.ktheory import connectivity_matrix, smith_normal_form
 
@@ -134,18 +135,11 @@ def test_subquotient_examples():
 
 def test_subquotient_pieces_are_sink_free():
     """Saturation forces every piece of a sink-free graph to be sink-free, so
-    a full sweep records no skips."""
+    every entry of a full sweep is certified and passes."""
     for make in (dumbbell, u_graph, two_vertex_pi):
         report = G.verify_on_subquotients(make(), 2)
         assert report.ok
         assert all(e.status == "pass" for e in report.entries)
-
-
-def test_run_target_skips_sink_pieces():
-    from graphck.ktheory import _run_target
-
-    entry = _run_target("demo", "ideal", mixed_m(), 2)
-    assert entry.status == "skip" and "sink" in entry.reason
 
 
 def test_k0_class_coordinates():
@@ -269,3 +263,29 @@ def test_subquotient_sweep_is_pinned():
 def test_verify_multiplication_refuses_a_sink():
     with pytest.raises(ContractViolation, match=r"sink \(w\)"):
         G.verify_multiplication_by_m(mixed_m(), 2)
+
+
+
+def test_subquotient_pieces_are_induced_and_certified_once(rng, monkeypatch):
+    """Each piece is the graph the restriction and quotient builders give, has
+    no sink, and each distinct vertex set is certified by one call."""
+    calls = []
+    real = ktheory.verify_multiplication_by_m
+    monkeypatch.setattr(ktheory, "verify_multiplication_by_m",
+                        lambda g, m: calls.append(g) or real(g, m))
+    graphs = _sweep_graphs(60311, 30) + [_component_graph(rng, rng.randint(1, 6))
+                                         for _ in range(30)]
+    for g in graphs:
+        calls.clear()
+        report = G.verify_on_subquotients(g, 2)
+        sets = G.enumerate_hereditary_saturated(g)
+        want = []
+        for h in sets:
+            ideal = G.restriction_graph(g, h)
+            want += [ideal, G.quotient_graph(g, h)]
+            want += [G.quotient_graph(ideal, j) for j in sets if j < h and j]
+        pieces = [e.certificate.graph for e in report.entries]
+        assert pieces == want
+        assert not any(G.sinks(piece) for piece in pieces)
+        distinct = {frozenset(piece.vertices) for piece in pieces}
+        assert len({id(e.certificate) for e in report.entries}) == len(distinct) == len(calls)
