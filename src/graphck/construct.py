@@ -33,6 +33,18 @@ def truncate_path(mu: Path, m: int) -> TruncationWitness:
     return TruncationWitness(mu, m, mu.prefix(k), len(mu) - k)
 
 
+def _fresh(used: set[str], token: str) -> str:
+    """token, with underscores appended until it is not in used; claims it.
+
+    Synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
+    pipes back into every command; underscore joins can collide with user
+    ids, so they are deterministically uniquified."""
+    while token in used:
+        token += "_"
+    used.add(token)
+    return token
+
+
 class BlowupGraph:
     """The m-th blow-up of a base graph together with both directions of lookup.
 
@@ -46,14 +58,6 @@ class BlowupGraph:
             raise ContractViolation("m must be positive")
         self.base = base
         self.m = m
-        # synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted
-        # graph pipes back into every command; underscore joins can collide
-        # with user ids, so they are deterministically uniquified
-        def fresh(used: set[str], token: str) -> str:
-            while token in used:
-                token += "_"
-            used.add(token)
-            return token
 
         def path_token(p: Path) -> str:
             return p.base.id if not p.edges else "_".join(e.id for e in p.edges)
@@ -61,7 +65,7 @@ class BlowupGraph:
         # vertex i is tree path i; (e, p) starts at e p while that is shorter than m
         tree = self.tree = PathTree(base, depth=m - 1)
         vertex_ids: set[str] = set()
-        vs = [Vertex(fresh(vertex_ids, path_token(p))) for p in tree.paths]
+        vs = [Vertex(_fresh(vertex_ids, path_token(p))) for p in tree.paths]
         edge_ids: set[str] = set()
         self._edge_of_pair: dict[tuple[Edge, Path], Edge] = {}
         for e in base.edges:
@@ -69,7 +73,7 @@ class BlowupGraph:
             top = tree.from_vertex[e.source][0]
             for i in tree.from_vertex[e.range]:
                 self._edge_of_pair[(e, tree.paths[i])] = Edge(
-                    fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[longer.get(i, top)], vs[i])
+                    _fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[longer.get(i, top)], vs[i])
         self._pair_of_edge = {new: pair for pair, new in self._edge_of_pair.items()}
         self.graph = DirectedGraph(vs, self._edge_of_pair.values())
 
@@ -118,67 +122,31 @@ def embed_path(bg: BlowupGraph, mu: Path) -> Path:
     return embed_path(bg, head) * embed_path(bg, mid) * embed_path(bg, rest)
 
 
-def _shortest_path_to(g: DirectedGraph, start: Vertex, targets: frozenset[Vertex]) -> Path | None:
-    """Shortest path from start into targets, ties by lex edge-id sequence."""
-    if start in targets:
-        return Path.at(start)
+def _shortest_walk(g: DirectedGraph, start: Vertex, targets: frozenset[Vertex],
+                   first_edges: tuple[Edge, ...]) -> Path | None:
+    """Shortest walk of at least one edge from start into targets that leaves
+    by one of first_edges, ties by lex edge-id sequence.  Targets end the
+    search at the first layer that meets them, so no walk passes through one."""
     # each walk travels with its edge-id sequence, the tie-breaking key;
     # edge ids are unique, so distinct walks never tie and min never compares walks
     seen = {start}
     frontier: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = [(start, (), ())]
     while frontier:
-        nxt: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = []
-        layer_best: dict[Vertex, tuple[tuple[str, ...], tuple[Edge, ...]]] = {}
+        hits: list[tuple[tuple[str, ...], tuple[Edge, ...]]] = []
+        layer: dict[Vertex, tuple[tuple[str, ...], tuple[Edge, ...]]] = {}
         for v, walk, key in frontier:
-            for e in g.out_edges(v):
+            for e in g.out_edges(v) if walk else first_edges:
                 w = e.range
-                if w in seen:
-                    continue
-                cand_key = key + (e.id,)
-                if w not in layer_best or cand_key < layer_best[w][0]:
-                    layer_best[w] = (cand_key, walk + (e,))
-        hits = [layer_best[w] for w in layer_best if w in targets]
+                cand = (key + (e.id,), walk + (e,))
+                if w in targets:
+                    hits.append(cand)
+                elif w not in seen and (w not in layer or cand < layer[w]):
+                    layer[w] = cand
         if hits:
             return Path(min(hits)[1])
-        for w, (cand_key, cand) in layer_best.items():
-            seen.add(w)
-            nxt.append((w, cand, cand_key))
-        frontier = nxt
+        seen.update(layer)
+        frontier = [(w, walk, key) for w, (key, walk) in layer.items()]
     return None
-
-
-def _shortest_first_return(g: DirectedGraph, v: Vertex,
-                           forbidden_first: Edge | None = None) -> Path | None:
-    """Shortest (then lex) cycle at v avoiding v inside, optional first-edge ban."""
-    starts = [e for e in g.out_edges(v) if e != forbidden_first]
-    # walks carry their tie-breaking keys, as in _shortest_path_to
-    frontier: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = []
-    done: list[tuple[tuple[str, ...], tuple[Edge, ...]]] = []
-    for e in starts:
-        if e.range == v:
-            done.append(((e.id,), (e,)))
-        else:
-            frontier.append((e.range, (e,), (e.id,)))
-    seen: set[Vertex] = set()
-    while not done and frontier:
-        nxt: list[tuple[Vertex, tuple[Edge, ...], tuple[str, ...]]] = []
-        layer: dict[Vertex, tuple[tuple[str, ...], tuple[Edge, ...]]] = {}
-        for x, walk, key in frontier:
-            for e in g.out_edges(x):
-                w = e.range
-                cand_key = key + (e.id,)
-                if w == v:
-                    done.append((cand_key, walk + (e,)))
-                    continue
-                if w in seen:
-                    continue
-                if w not in layer or cand_key < layer[w][0]:
-                    layer[w] = (cand_key, walk + (e,))
-        for w, (cand_key, cand) in layer.items():
-            seen.add(w)
-            nxt.append((w, cand, cand_key))
-        frontier = nxt
-    return Path(min(done)[1]) if done else None
 
 
 def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
@@ -210,9 +178,10 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
     chosen: set[Edge] = set(f_set)
     required = sorted(v_set | {e.range for e in f_set}, key=g.vertex_index)
     for v in required:
-        walk = _shortest_path_to(g, v, cyc)
+        walk = Path.at(v) if v in cyc else _shortest_walk(g, v, cyc, g.out_edges(v))
         assert walk is not None
-        cycle = _shortest_first_return(g, walk.range)
+        u = walk.range
+        cycle = _shortest_walk(g, u, frozenset((u,)), g.out_edges(u))
         assert cycle is not None
         chosen.update(walk.edges)
         chosen.update(cycle.edges)
@@ -237,7 +206,8 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
             added = False
             for n in range(len(ret)):
                 u = ret.edges[n].source
-                second = _shortest_first_return(g, u, forbidden_first=ret.edges[n])
+                second = _shortest_walk(g, u, frozenset((u,)), tuple(
+                    e for e in g.out_edges(u) if e != ret.edges[n]))
                 if second is not None:
                     chosen.update(second.edges)
                     added = True
@@ -260,18 +230,15 @@ def add_tails(g: DirectedGraph, depth: int) -> DirectedGraph:
     sink_list = sinks(g)
     if not sink_list:
         return g
-    used = {v.id for v in g.vertices}
+    vertex_ids = {v.id for v in g.vertices}
+    edge_ids = {e.id for e in g.edges}
     vertices = list(g.vertices)
     edges = list(g.edges)
     for w in sink_list:
         prev = w
         for i in range(1, depth + 1):
-            vid = f"{w.id}_tail{i}"
-            while vid in used:
-                vid += "_"
-            used.add(vid)
-            nxt = Vertex(vid)
+            nxt = Vertex(_fresh(vertex_ids, f"{w.id}_tail{i}"))
             vertices.append(nxt)
-            edges.append(Edge(f"{w.id}_tailedge{i}", prev, nxt))
+            edges.append(Edge(_fresh(edge_ids, f"{w.id}_tailedge{i}"), prev, nxt))
             prev = nxt
     return DirectedGraph(vertices, edges, tail_truncated=True)

@@ -245,6 +245,16 @@ def test_add_tails():
     assert not any(v.id == "w" for v in G.sinks(m))
 
 
+def test_add_tails_uniquifies_edge_ids():
+    """Synthesized tail edge ids dodge user ids as the vertex ids do."""
+    g = G.DirectedGraph.build(["v", "w", "w_tail1"], [("e", "v", "w"), ("w_tailedge1", "v", "v"),
+                                                     ("x", "w_tail1", "v")])
+    t = G.add_tails(g, 2)
+    assert [v.id for v in t.vertices[3:]] == ["w_tail1_", "w_tail2"]
+    assert [e.id for e in t.edges[3:]] == ["w_tailedge1_", "w_tailedge2"]
+    assert G.parse_graph(G.emit_graph(t)) == t
+
+
 def test_blowup_emits_parseable_dsl(rng):
     """Synthesized ids stay DSL-legal and unique, so blow-ups pipe back."""
     from graphck.dsl import emit_graph, parse_graph
