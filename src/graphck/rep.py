@@ -26,7 +26,7 @@ from math import ceil
 
 from .construct import BlowupGraph, embed_path
 from .errors import ContractViolation, ResourceLimit
-from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, paths_from, sinks
+from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, sinks
 from .sparse import RatMatrix
 from .symbolic import AlgebraMode, FormalSum, Word, iota_path_image, normal_form
 
@@ -386,6 +386,7 @@ def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
     kappa = kappa_matrix(m)
     half = ceil(m / 2)
     terms: dict[Word, Fraction] = {}
+    tree = PathTree(g, (mu.range,))  # the extensions tau, grown as far as needed
     for shift in (m, m + half):
         t_lo = max(0, shift - min(a, b))
         t_hi = max(t_lo, shift + m - max(a, b))
@@ -393,7 +394,9 @@ def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
             c = kappa.entry0(a + t - shift, b + t - shift)
             if not c:
                 continue
-            for tau in paths_from(g, mu.range, t):
+            while len(tree.offsets) < t + 2:
+                tree.grow()
+            for tau in tree.paths[tree.offsets[t]:tree.offsets[t + 1]]:
                 w = Word(embed_path(bg, mu * tau), embed_path(bg, nu * tau))
                 terms[w] = terms.get(w, Fraction(0)) + c
     lhs = FormalSum(bg.graph, terms)
