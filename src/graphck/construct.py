@@ -33,12 +33,10 @@ def truncate_path(mu: Path, m: int) -> TruncationWitness:
     return TruncationWitness(mu, m, mu.prefix(k), len(mu) - k)
 
 
+# synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
+# pipes back into every command; underscore joins can collide with user ids,
+# so they are deterministically uniquified
 def _fresh(used: set[str], token: str) -> str:
-    """token, with underscores appended until it is not in used; claims it.
-
-    Synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
-    pipes back into every command; underscore joins can collide with user
-    ids, so they are deterministically uniquified."""
     while token in used:
         token += "_"
     used.add(token)

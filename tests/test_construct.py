@@ -243,10 +243,7 @@ def test_add_tails():
     m = G.add_tails(mixed_m(), 1)
     assert m.tail_truncated and len(m.vertices) == 4
     assert not any(v.id == "w" for v in G.sinks(m))
-
-
-def test_add_tails_uniquifies_edge_ids():
-    """Synthesized tail edge ids dodge user ids as the vertex ids do."""
+    # synthesized tail edge ids dodge user ids as the vertex ids do
     g = G.DirectedGraph.build(["v", "w", "w_tail1"], [("e", "v", "w"), ("w_tailedge1", "v", "v"),
                                                      ("x", "w_tail1", "v")])
     t = G.add_tails(g, 2)
