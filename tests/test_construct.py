@@ -156,6 +156,14 @@ def test_embed_block_factorization(rng):
     assert checked > 100
 
 
+def _ring(n: int) -> G.DirectedGraph:
+    """Ring i -> i+1 (a), i -> i+2 (b) on n vertices."""
+    return G.DirectedGraph.build(
+        [f"v{i}" for i in range(n)],
+        [x for i in range(n) for x in ((f"a{i}", f"v{i}", f"v{(i + 1) % n}"),
+                                       (f"b{i}", f"v{i}", f"v{(i + 2) % n}"))])
+
+
 def test_jeong_park_examples():
     g = two_loop()
     sub = G.jeong_park_subgraph(g, {g.vertex("v")}, set())
@@ -167,13 +175,10 @@ def test_jeong_park_examples():
     sub = G.jeong_park_subgraph(u, {u.vertex("u")}, set())
     assert sorted(v.id for v in sub.vertices) == ["u", "v"]
     assert sorted(e.id for e in sub.edges) == ["a", "e1", "e2"]
-    # 400-vertex ring i -> i+1 (a), i -> i+2 (b): long searches where the
-    # lex tie-breaking decides every cycle the closure adds
+    # 400-vertex ring: long searches where the lex tie-breaking decides every
+    # cycle the closure adds
     n = 400
-    ring = G.DirectedGraph.build(
-        [f"v{i}" for i in range(n)],
-        [x for i in range(n) for x in ((f"a{i}", f"v{i}", f"v{(i + 1) % n}"),
-                                       (f"b{i}", f"v{i}", f"v{(i + 2) % n}"))])
+    ring = _ring(n)
     sub = G.jeong_park_subgraph(ring, {ring.vertex("v0")}, set())
     assert [e.id for e in sub.edges] == [
         x for i in range(n) for x in ((f"a{i}", f"b{i}") if i % 2 == 0 else (f"a{i}",))]
@@ -196,14 +201,6 @@ def test_jeong_park_properties(rng):
         assert v_set <= set(sub.vertices) and f_set <= set(sub.edges)
         assert set(sub.vertices) <= set(g.vertices) and set(sub.edges) <= set(g.edges)
 
-
-
-def _ring(n: int) -> G.DirectedGraph:
-    """Ring i -> i+1 (a), i -> i+2 (b) on n vertices."""
-    return G.DirectedGraph.build(
-        [f"v{i}" for i in range(n)],
-        [x for i in range(n) for x in ((f"a{i}", f"v{i}", f"v{(i + 1) % n}"),
-                                       (f"b{i}", f"v{i}", f"v{(i + 2) % n}"))])
 
 
 # sha256 of the emitted closure subgraph, or the refusal message, of every

@@ -265,7 +265,6 @@ def test_verify_multiplication_refuses_a_sink():
         G.verify_multiplication_by_m(mixed_m(), 2)
 
 
-
 def test_subquotient_pieces_are_induced_and_certified_once(rng, monkeypatch):
     """Each piece is the graph the restriction and quotient builders give, has
     no sink, and each distinct vertex set is certified by one call."""
