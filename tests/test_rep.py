@@ -496,6 +496,48 @@ def test_prop26_matches_coefficient_table():
             assert gap.max_coefficient == gap.coefficients.max_defect
 
 
+def _sorted_terms(s: FormalSum) -> str:
+    return repr(sorted((repr(w), str(c)) for w, c in s.terms.items()))
+
+
+# sha256 of the blow-up embedding, the inclusion and the approximation gap, m =
+# 1..4, on the graphs of `test_embedding_inclusion_and_gap_are_pinned`: the
+# embedded id of every path of length <= 2m+1, the inclusion image of every
+# path of length <= m+1 and of every generator, and the sorted difference
+# terms of sampled gaps.  `approx`
+# and `verify-hom --which iota` read these: update only as a declared result
+# change.
+EMBEDDING_DIGEST = "a0f7c5c750b6b26676b3a2f852fd73bdb9445432956472464d2d8452a27d875f"
+
+
+def test_embedding_inclusion_and_gap_are_pinned():
+    rng = random.Random(40917)
+    graphs = [two_loop(), mixed_m(), single_edge(), two_cycle()]
+    graphs += [random_graph(rng, max_vertices=3, max_edges=5) for _ in range(4)]
+    graphs += [random_graph(rng, max_vertices=3, max_edges=4, no_sinks=True) for _ in range(4)]
+    digest = hashlib.sha256()
+    gaps = 0
+    for g in graphs:
+        for m in range(1, 5):
+            bg = G.blowup_graph(g, m)
+            for mu in paths(g, 0, 2 * m + 2):
+                digest.update(G.embed_path(bg, mu).id.encode())
+            for mu in paths(g, 0, m + 2):
+                digest.update(_sorted_terms(iota_path_image(bg, mu)).encode())
+            for gen in (*g.vertices, *g.edges):
+                digest.update(_sorted_terms(G.iota_image(bg, gen)).encode())
+            if G.sinks(g):
+                continue
+            legs = paths(g, 0, m)
+            pairs = [(mu, nu) for mu in legs for nu in legs if mu.range == nu.range]
+            for mu, nu in rng.sample(pairs, min(3, len(pairs))):
+                gap = G.approximation_gap(bg, mu, nu)
+                digest.update(_sorted_terms(gap.difference).encode())
+                gaps += 1
+    assert gaps > 30
+    assert digest.hexdigest() == EMBEDDING_DIGEST
+
+
 def test_prop26_preconditions():
     g = mixed_m()
     bg = G.blowup_graph(g, 2)
