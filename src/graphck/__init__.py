@@ -8,8 +8,8 @@ bounds.  Everything numeric is exact rational.
 """
 
 from .classify import IdealReport, Verdict, classify, ideal_report, purely_infinite
-from .construct import (BlowupGraph, TruncationWitness, add_tails, blowup_graph,
-                        embed_path, jeong_park_subgraph, truncate_path)
+from .construct import (BlowupGraph, add_tails, blowup_graph, embed_path,
+                        jeong_park_subgraph)
 from .dsl import emit_graph, parse_graph, parse_pathspec
 from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
 from .graphs import (DirectedGraph, Edge, Path, Vertex, adjacency_matrix,

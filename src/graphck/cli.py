@@ -221,14 +221,14 @@ def _verify_hom(g: DirectedGraph, args):
         vertex_images = {v: iota_image(bg, v) for v in g.vertices}
         edge_images = {e: iota_image(bg, e) for e in g.edges}
         check = verify_tck_family(g, vertex_images, edge_images,
-                                  AlgebraMode.TOEPLITZ, args.depth)
+                                  AlgebraMode.TOEPLITZ)
         target = "inclusion into the blow-up (relation-free mode)"
     else:
         em = bg.graph
         vertex_images = {v: jm_image(bg, v) for v in em.vertices}
         edge_images = {e: jm_image(bg, e) for e in em.edges}
         check = verify_tck_family(em, vertex_images, edge_images,
-                                  AlgebraMode.CUNTZ_KRIEGER, args.depth)
+                                  AlgebraMode.CUNTZ_KRIEGER)
         target = "reinclusion into the base algebra with matrix units"
     result = {"which": args.which, "m": args.m, "pass": check.ok,
               "failed_relation": check.failed_relation}
@@ -241,14 +241,14 @@ def _quasidiag(g: DirectedGraph, args):
     x = {g.vertex(t) for t in args.window.split(",") if t}
     e_x = gabe_approximate_identity(g, h, x)
     failures = []
-    if not sums_equal(e_x * e_x, e_x, AlgebraMode.CUNTZ_KRIEGER, args.depth):
+    if not sums_equal(e_x * e_x, e_x, AlgebraMode.CUNTZ_KRIEGER):
         failures.append("projection")
     words = [("p_" + v.id, vertex_projection(g, v)) for v in g.vertices if v in x]
     for e in g.edges:
         if e.source in x and e.range in x:
             words.append(("s_" + e.id, edge_isometry(g, e)))
     for name, w in words:
-        if not commutator_is_zero(e_x, w, args.depth):
+        if not commutator_is_zero(e_x, w):
             failures.append(f"commutator({name})")
     result = {"ideal": sorted(v.id for v in h), "window": sorted(v.id for v in x),
               "terms": len(e_x.terms), "pass": not failures, "failures": failures}
@@ -304,8 +304,6 @@ def _run_capture(argv: list[str]) -> dict:
 
 _GRAPH = ("graph", {"help": "graph DSL file, or - for stdin"})
 _JSON = ("--json", {"action": "store_true", "help": "machine-readable report"})
-_DEPTH = ("--depth", {"type": int, "default": None,
-                      "help": "leveling depth for symbolic equality"})
 _M = ("--m", {"type": int, "required": True})
 
 # In subcommand order: name, handler, whether the handler builds a report,
@@ -327,14 +325,15 @@ _COMMANDS = (
       ("--edges", {"default": "", "help": "comma-separated edge ids"}))),
     ("kappa", _kappa, True, "print the exact weight matrix", (_JSON, _M)),
     ("approx", _approx, True, "compression-vs-inclusion gap of a word",
-     (_GRAPH, _JSON, _DEPTH, _M,
+     (_GRAPH, _JSON, ("--depth", {"type": int, "default": None,
+                                  "help": "leveling depth for symbolic equality"}), _M,
       ("--mu", {"required": True, "help": "path: vertex id or dot-joined edge ids"}),
       ("--nu", {"required": True, "help": "path: vertex id or dot-joined edge ids"}))),
     ("verify-hom", _verify_hom, True, "check generator images form a family",
-     (_GRAPH, _JSON, _DEPTH, ("--which", {"choices": ("iota", "jm"), "required": True}), _M)),
+     (_GRAPH, _JSON, ("--which", {"choices": ("iota", "jm"), "required": True}), _M)),
     ("verify-m", _verify_m, True, "multiplication-by-m certificate", (_GRAPH, _JSON, _M)),
     ("quasidiag", _quasidiag, True, "window projection and commutation checks",
-     (_GRAPH, _JSON, _DEPTH,
+     (_GRAPH, _JSON,
       ("--ideal", {"required": True, "help": "comma-separated vertex ids"}),
       ("--window", {"required": True, "help": "comma-separated vertex ids"}))),
     ("corpus", _cmd_corpus, False, "run fixture directory and compare reports",

@@ -1,36 +1,17 @@
 """Graph-level constructions: blow-up graphs, path embedding, subgraph closure.
 
 The blow-up of a graph puts one vertex for every path of length < m and one
-edge for every (edge, path) pair that composes; the embedding carries paths of
-the base graph to paths of the blow-up.  All constructions are deterministic:
-candidate paths are chosen shortest first, ties broken by edge-id sequence.
+edge for every (edge, path) pair that composes; the embedding carries a base
+path to the one blow-up walk that it labels into the vertex of its range.  All
+constructions are deterministic: candidate paths are chosen shortest first,
+ties broken by edge-id sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContractViolation
 from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, cycle_vertices,
                      first_return_counts, reaching, sinks, unique_first_return)
-
-
-@dataclass(frozen=True)
-class TruncationWitness:
-    """Factorization path = head * tail with |tail| divisible by m, |head| < m."""
-
-    path: Path
-    m: int
-    head: Path
-    tail_length: int
-
-
-def truncate_path(mu: Path, m: int) -> TruncationWitness:
-    """Unique prefix of mu with length |mu| mod m."""
-    if m < 1:
-        raise ContractViolation("m must be positive")
-    k = len(mu) % m
-    return TruncationWitness(mu, m, mu.prefix(k), len(mu) - k)
 
 
 # synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
@@ -65,15 +46,18 @@ class BlowupGraph:
         vertex_ids: set[str] = set()
         vs = [Vertex(_fresh(vertex_ids, path_token(p))) for p in tree.paths]
         edge_ids: set[str] = set()
-        self._edge_of_pair: dict[tuple[Edge, Path], Edge] = {}
+        # _into[i][e]: the edge of the pair (e, path i) and the index of its source
+        self._into: list[dict[Edge, tuple[Edge, int]]] = [{} for _ in vs]
+        self._pair_of_edge: dict[Edge, tuple[Edge, Path]] = {}
         for e in base.edges:
             longer = tree.prefix_map(Path((e,)))
             top = tree.from_vertex[e.source][0]
             for i in tree.from_vertex[e.range]:
-                self._edge_of_pair[(e, tree.paths[i])] = Edge(
-                    _fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[longer.get(i, top)], vs[i])
-        self._pair_of_edge = {new: pair for pair, new in self._edge_of_pair.items()}
-        self.graph = DirectedGraph(vs, self._edge_of_pair.values())
+                j = longer.get(i, top)
+                new = Edge(_fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[j], vs[i])
+                self._into[i][e] = (new, j)
+                self._pair_of_edge[new] = (e, tree.paths[i])
+        self.graph = DirectedGraph(vs, self._pair_of_edge)
 
     def vertex_of_path(self, p: Path) -> Vertex:
         i = self.tree.find(p)
@@ -84,13 +68,32 @@ class BlowupGraph:
     def path_of_vertex(self, v: Vertex) -> Path:
         return self.tree.paths[self.graph.vertex_index(v)]
 
-    def edge_of_pair(self, e: Edge, p: Path) -> Edge:
-        if (e, p) not in self._edge_of_pair:
-            raise ContractViolation(f"({e.id}, {p.id}) is not an edge of the blow-up")
-        return self._edge_of_pair[(e, p)]
-
     def pair_of_edge(self, edge: Edge) -> tuple[Edge, Path]:
         return self._pair_of_edge[edge]
+
+    def walk_into(self, mu: Path, v: Vertex) -> Path:
+        """The blow-up path into v whose edges carry the edges of mu.
+
+        Each blow-up vertex p has exactly one incoming edge for each base edge
+        e with r(e) = s(p): the edge for the pair (e, p).  That edge starts at
+        the vertex e p while |p| < m-1 and at s(e) when |p| = m-1, a vertex
+        whose path leaves s(e) in both cases.  So the walk back from v along
+        mu is unique, and it exists iff r(mu) = s(p).  Into the vertex r(mu)
+        it starts at the truncation [mu]_m, the prefix of length |mu| mod m:
+        k steps back from there the path is the first k mod m of the last k
+        edges of mu.
+        """
+        i = self.graph.vertex_index(v) if self.graph.has_vertex(v) else None
+        if i is None or self.tree.paths[i].source != mu.range:
+            raise ContractViolation(f"no blow-up walk carrying {mu.id} ends at {v.id}")
+        walk = []
+        for e in reversed(mu.edges):
+            step = self._into[i].get(e)
+            if step is None:
+                raise ContractViolation(f"edge {e.id} is not an edge of the base graph")
+            new, i = step
+            walk.append(new)
+        return Path(tuple(reversed(walk))) if walk else Path.at(v)
 
 
 def blowup_graph(g: DirectedGraph, m: int) -> BlowupGraph:
@@ -98,26 +101,9 @@ def blowup_graph(g: DirectedGraph, m: int) -> BlowupGraph:
 
 
 def embed_path(bg: BlowupGraph, mu: Path) -> Path:
-    """Image of a base path in the blow-up.
-
-    Length is preserved, the source is the truncation [mu]_m and the range is
-    r(mu).  Built edge by edge for |mu| <= m and by splitting off blocks of
-    length m beyond that.
-    """
-    m = bg.m
-    n = len(mu)
-    if n == 0:
-        return Path.at(bg.vertex_of_path(mu))
-    if n <= m:
-        edges = []
-        for k in range(n):
-            suffix = mu.suffix_from(k + 1)
-            edges.append(bg.edge_of_pair(mu.edges[k], suffix))
-        return Path(tuple(edges))
-    head = truncate_path(mu, m).head
-    mid = Path(mu.edges[len(head):len(head) + m])
-    rest = mu.suffix_from(len(head) + m)
-    return embed_path(bg, head) * embed_path(bg, mid) * embed_path(bg, rest)
+    """Image of a base path in the blow-up: its walk into the vertex of r(mu),
+    which has the length of mu and starts at the truncation [mu]_m."""
+    return bg.walk_into(mu, bg.vertex_of_path(Path.at(mu.range)))
 
 
 def _shortest_walk(g: DirectedGraph, start: Vertex, targets: frozenset[Vertex],

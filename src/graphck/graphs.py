@@ -103,9 +103,6 @@ class Path:
     def __mul__(self, other: "Path") -> "Path":
         return self.concat(other)
 
-    def prefix(self, k: int) -> "Path":
-        return Path(self.edges[:k]) if k else Path.at(self.source)
-
     def suffix_from(self, k: int) -> "Path":
         """The path made of edges k, k+1, ... (empty at range if k == len)."""
         return Path(self.edges[k:]) if k < len(self.edges) else Path.at(self.range)

@@ -28,7 +28,7 @@ from .construct import BlowupGraph, embed_path
 from .errors import ContractViolation, ResourceLimit
 from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, sinks
 from .sparse import RatMatrix
-from .symbolic import AlgebraMode, FormalSum, Word, iota_path_image, normal_form
+from .symbolic import AlgebraMode, FormalSum, Word, iota_word_image, normal_form
 
 DEFAULT_MAX_BASIS = 200_000
 
@@ -399,7 +399,6 @@ def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
             for tau in tree.paths[tree.offsets[t]:tree.offsets[t + 1]]:
                 w = Word(embed_path(bg, mu * tau), embed_path(bg, nu * tau))
                 terms[w] = terms.get(w, Fraction(0)) + c
-    lhs = FormalSum(bg.graph, terms)
-    rhs = iota_path_image(bg, mu) * iota_path_image(bg, nu).star()
-    diff = normal_form(lhs - rhs, AlgebraMode.CUNTZ_KRIEGER, depth)
+    diff = normal_form(FormalSum(bg.graph, terms) - iota_word_image(bg, mu, nu),
+                       AlgebraMode.CUNTZ_KRIEGER, depth)
     return ApproximationGap(diff, diff.max_abs_coefficient(), k_coefficients(m, a, b))

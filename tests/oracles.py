@@ -1,22 +1,26 @@
-"""Second routes for the graph and K-theory invariants.
+"""Second routes for the graph, blow-up and K-theory invariants.
 
 The library decides each quantity one way: first-return counts and Condition
 (K) from strongly connected components, the ideal lattice from the
-component condensation, invariant factors by Smith normal form, the
-geometric-sum column by matrix powers.  These are the independent routes the
-tests compare against -- brute-force first returns, fixed-point closure,
-minor gcds, path enumeration -- kept out of the library because nothing but
-the tests runs them.
+component condensation, the blow-up embedding and inclusion from labeled
+walks, invariant factors by Smith normal form, the geometric-sum column by
+matrix powers.  These are the independent routes the tests compare against --
+brute-force first returns, fixed-point closure, block recursion and products
+of edge images, minor gcds, path enumeration -- kept out of the library
+because nothing but the tests runs them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable
 
+from graphck.construct import BlowupGraph
 from graphck.errors import ContractViolation, ResourceLimit
-from graphck.graphs import DirectedGraph, Path, Vertex, _as_vertex_set, paths_from
+from graphck.graphs import DirectedGraph, Edge, Path, Vertex, _as_vertex_set, paths_from
 from graphck.ktheory import IntMatrix, KTheoryResult, _det
 from graphck.symbolic import FormalSum, Word
 
@@ -31,6 +35,73 @@ def path_vertices(p: Path) -> list[Vertex]:
 def path_isometry(g: DirectedGraph, p: Path) -> FormalSum:
     """s_p = product of the edge generators along p."""
     return FormalSum.of(g, Word(p, Path.at(p.range)))
+
+
+def path_prefix(p: Path, k: int) -> Path:
+    """The first k edges of p; the empty path at s(p) when k == 0."""
+    return Path(p.edges[:k]) if k else Path.at(p.source)
+
+
+@dataclass(frozen=True)
+class TruncationWitness:
+    """Factorization path = head * tail with |tail| divisible by m, |head| < m."""
+
+    path: Path
+    m: int
+    head: Path
+    tail_length: int
+
+
+def truncate_path(mu: Path, m: int) -> TruncationWitness:
+    """Unique prefix of mu with length |mu| mod m."""
+    if m < 1:
+        raise ContractViolation("m must be positive")
+    k = len(mu) % m
+    return TruncationWitness(mu, m, path_prefix(mu, k), len(mu) - k)
+
+
+def edges_from(bg: BlowupGraph, e: Edge) -> list[Edge]:
+    """The blow-up edges built from the base edge e, by a scan over all of them."""
+    return [em for em in bg.graph.edges if bg.pair_of_edge(em)[0] == e]
+
+
+def embed_path_by_blocks(bg: BlowupGraph, mu: Path) -> Path:
+    """Image of a base path in the blow-up, edge by edge for |mu| <= m, where
+    edge k is the pair (e_k, rest of mu after it), found among the edges into
+    the rest's vertex; beyond that by splitting mu into [mu]_m, a block of m
+    edges and the rest, whose length is a multiple of m, so the three images
+    compose."""
+    m = bg.m
+    n = len(mu)
+    if n == 0:
+        return Path.at(bg.vertex_of_path(mu))
+    if n <= m:
+        return Path(tuple(
+            next(em for em in bg.graph.in_edges(bg.vertex_of_path(mu.suffix_from(k + 1)))
+                 if bg.pair_of_edge(em)[0] == e)
+            for k, e in enumerate(mu.edges)))
+    head = truncate_path(mu, m).head
+    mid = Path(mu.edges[len(head):len(head) + m])
+    rest = mu.suffix_from(len(head) + m)
+    return (embed_path_by_blocks(bg, head) * embed_path_by_blocks(bg, mid)
+            * embed_path_by_blocks(bg, rest))
+
+
+def iota_path_image_by_products(bg: BlowupGraph, mu: Path) -> FormalSum:
+    """Image of s_mu under the inclusion into the blow-up, as the product of
+    its edge images; each edge goes to the sum of the blow-up edges built from
+    it, and a path of length 0 at v to the projections of the blow-up
+    vertices whose paths leave v."""
+    g = bg.graph
+    if not mu.edges:
+        ats = [Path.at(p) for p in g.vertices if bg.path_of_vertex(p).source == mu.source]
+        return FormalSum(g, {Word(at, at): Fraction(1) for at in ats})
+    total = None
+    for e in mu.edges:
+        factor = FormalSum(g, {Word(Path((em,)), Path.at(em.range)): Fraction(1)
+                               for em in edges_from(bg, e)})
+        total = factor if total is None else total * factor
+    return total
 
 
 def first_return_paths(g: DirectedGraph, v: Vertex, max_length: int | None = None,

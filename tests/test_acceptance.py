@@ -25,7 +25,7 @@ from graphck.symbolic import (AlgebraMode, FormalSum, Word, edge_isometry,
 from conftest import (REP_CORPUS, SINK_FREE_CORPUS, mixed_m, random_condition_k_graph,
                       random_graph, single_edge, single_loop, two_cycle, two_loop,
                       two_vertex_pi, u_graph)
-from oracles import path_isometry, path_vertices, smith_diagonal_by_minors
+from oracles import path_isometry, path_vertices, smith_diagonal_by_minors, truncate_path
 from rep_oracles import check_matrix_units
 
 CK = AlgebraMode.CUNTZ_KRIEGER
@@ -140,7 +140,6 @@ def test_c04_inclusion_suite():
                 em = bg.graph
                 repm = G.build_rep(em, 2 * m + 2, max_basis=400_000)
                 for mu in paths(g, 0, 2 * m + 1):
-                    from graphck.construct import truncate_path
                     img = G.embed_path(bg, mu)
                     lhs_sym = path_isometry(em, img)
                     q_r = vertex_projection(em, bg.vertex_of_path(Path.at(mu.range)))

@@ -270,6 +270,8 @@ def test_removed_options_exit_2(twoloop_file, capsys):
     assert main(["corpus", str(CORPUS_DIR), "--json"]) == 2
     assert main(["blowup", "--m", "2", "--json", twoloop_file]) == 2
     assert main(["jeong-park", "--vertices", "v", "--json", twoloop_file]) == 2
+    assert main(["verify-hom", "--which", "iota", "--m", "2", "--depth", "3", twoloop_file]) == 2
+    assert main(["quasidiag", "--ideal", "v", "--window", "v", "--depth", "3", twoloop_file]) == 2
 
 
 def test_ktheory_verify_m_exit_follows_pass(twoloop_file, capsys, monkeypatch):
@@ -299,9 +301,9 @@ CLI_SURFACE = {
     "jeong-park": {"--vertices": "v", "--edges": "e"},
     "kappa": {"--json": None, "--m": "2"},
     "approx": {"--json": None, "--depth": "6", "--m": "2", "--mu": "v", "--nu": "v"},
-    "verify-hom": {"--json": None, "--depth": "3", "--which": "iota", "--m": "2"},
+    "verify-hom": {"--json": None, "--which": "iota", "--m": "2"},
     "verify-m": {"--json": None, "--m": "2"},
-    "quasidiag": {"--json": None, "--depth": "3", "--ideal": "v", "--window": "v"},
+    "quasidiag": {"--json": None, "--ideal": "v", "--window": "v"},
     "corpus": {},
 }
 REQUIRED_OPTIONS = {"blowup": ["--m"], "kappa": ["--m"], "approx": ["--m", "--mu", "--nu"],

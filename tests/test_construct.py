@@ -8,12 +8,13 @@ import random
 import pytest
 
 import graphck as G
-from graphck.construct import truncate_path
 from graphck.errors import ContractViolation
 from graphck.graphs import Path, paths
+from graphck.symbolic import iota_path_image
 
 from conftest import (mixed_m, random_condition_k_graph, random_graph,
                       single_edge, single_loop, two_loop)
+from oracles import embed_path_by_blocks, iota_path_image_by_products, truncate_path
 
 
 def test_truncate_examples():
@@ -132,9 +133,9 @@ def test_embed_endpoints_random(rng):
 
 
 def test_embed_block_factorization(rng):
-    """The image of mu*nu splits as a product of images whenever |nu| is a
-    multiple of m, so the truncation of nu is a vertex; this exercises the
-    recursion's three-factor identity at arbitrary junctions."""
+    """The image of mu*nu is the image of mu followed by the image of nu
+    whenever |nu| is a multiple of m: then the truncation of nu is a vertex of
+    length 0, which is where the image of mu ends."""
     checked = 0
     for _ in range(40):
         g = random_graph(rng, max_vertices=4, max_edges=6, no_sinks=True)
@@ -154,6 +155,25 @@ def test_embed_block_factorization(rng):
                 assert whole == split
                 checked += 1
     assert checked > 100
+
+
+def test_walks_match_block_recursion_and_edge_products(rng):
+    """The labeled walk gives the embedding the block recursion gives, and
+    the inclusion the product of the scanned edge images gives, on random
+    graphs with and without sinks."""
+    checked = 0
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=4, max_edges=6)
+        for m in (1, 2, 3, 4):
+            bg = G.blowup_graph(g, m)
+            for _ in range(30):
+                mu = _random_walk(rng, g, rng.randint(0, 2 * m + 1))
+                assert G.embed_path(bg, mu) == embed_path_by_blocks(bg, mu), (m, mu)
+                checked += 1
+            for _ in range(8):
+                mu = _random_walk(rng, g, rng.randint(0, m + 1))
+                assert iota_path_image(bg, mu) == iota_path_image_by_products(bg, mu), (m, mu)
+    assert checked == 2400
 
 
 def _ring(n: int) -> G.DirectedGraph:
@@ -306,7 +326,11 @@ def test_blowup_lookups_refuse_what_is_not_there():
     for p in (Path.at(stranger.vertex("w")), Path((stranger.edge("e"),))):
         with pytest.raises(ContractViolation):
             bg.vertex_of_path(p)
-    for pair in ((e, Path((e, f))), (e, Path.at(stranger.vertex("w"))),
-                 (stranger.edge("e"), Path.at(g.vertex("v")))):
-        with pytest.raises(ContractViolation, match="not an edge"):
-            bg.edge_of_pair(*pair)
+    v, top = g.vertex("v"), bg.vertex_of_path(Path((e,)))
+    with pytest.raises(ContractViolation, match="not an edge"):
+        bg.walk_into(Path((G.Edge("x", v, v),)), top)
+    with pytest.raises(ContractViolation, match="ends at"):
+        bg.walk_into(Path.at(stranger.vertex("w")), top)
+    with pytest.raises(ContractViolation, match="ends at"):
+        bg.walk_into(Path((e,)), G.Vertex("zz"))
+    assert bg.walk_into(Path((f, e)), top).id == "f__v.e__e"

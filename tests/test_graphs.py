@@ -15,7 +15,7 @@ from graphck.graphs import (PathTree, cycle_vertices, first_return_counts, is_he
                             is_saturated, paths_from, unique_first_return)
 
 from conftest import mixed_m, random_graph, single_edge, single_loop, two_cycle, two_loop
-from oracles import first_return_paths, hereditary_saturated_closure
+from oracles import first_return_paths, hereditary_saturated_closure, path_prefix
 
 
 def test_adjacency_two_loops():
@@ -354,7 +354,7 @@ def test_path_tree_layout_find_and_prefix_map(rng):
         for i, p in enumerate(tree.paths):
             assert tree.find(p) == i and i in tree.from_vertex[p.source]
             if p.edges:
-                assert tree.paths[tree.parent[i]] == p.prefix(len(p) - 1)
+                assert tree.paths[tree.parent[i]] == path_prefix(p, len(p) - 1)
                 k = g.out_edges(p.edges[-1].source).index(p.edges[-1])
                 assert tree.first_child[tree.parent[i]] + k == i
         for v, ids in tree.from_vertex.items():

@@ -112,6 +112,16 @@ def test_iota_images_two_loop():
     assert {w.alpha.id for w in te.terms} == {"e__v", "e__e", "e__f"}
 
 
+def test_iota_refuses_generators_outside_the_base_graph():
+    g = two_loop()
+    bg = G.blowup_graph(g, 2)
+    v = g.vertex("v")
+    for gen in (G.Vertex("zz"), G.Edge("x", v, v), G.Edge("y", v, G.Vertex("zz")),
+                G.Edge("e", v, G.Vertex("zz"))):
+        with pytest.raises(ContractViolation, match=gen.id):
+            G.iota_image(bg, gen)
+
+
 def test_iota_m1_is_relabeling(rng):
     for _ in range(10):
         g = random_graph(rng, max_vertices=4, max_edges=6)
