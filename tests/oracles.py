@@ -20,7 +20,7 @@ from typing import Iterable
 
 from graphck.construct import BlowupGraph
 from graphck.errors import ContractViolation, ResourceLimit
-from graphck.graphs import DirectedGraph, Edge, Path, Vertex, _as_vertex_set, paths_from
+from graphck.graphs import DirectedGraph, Path, Vertex, _as_vertex_set, paths_from
 from graphck.ktheory import IntMatrix, KTheoryResult, _det
 from graphck.symbolic import FormalSum, Word
 
@@ -60,11 +60,6 @@ def truncate_path(mu: Path, m: int) -> TruncationWitness:
     return TruncationWitness(mu, m, path_prefix(mu, k), len(mu) - k)
 
 
-def edges_from(bg: BlowupGraph, e: Edge) -> list[Edge]:
-    """The blow-up edges built from the base edge e, by a scan over all of them."""
-    return [em for em in bg.graph.edges if bg.pair_of_edge(em)[0] == e]
-
-
 def embed_path_by_blocks(bg: BlowupGraph, mu: Path) -> Path:
     """Image of a base path in the blow-up, edge by edge for |mu| <= m, where
     edge k is the pair (e_k, rest of mu after it), found among the edges into
@@ -90,8 +85,8 @@ def embed_path_by_blocks(bg: BlowupGraph, mu: Path) -> Path:
 def iota_path_image_by_products(bg: BlowupGraph, mu: Path) -> FormalSum:
     """Image of s_mu under the inclusion into the blow-up, as the product of
     its edge images; each edge goes to the sum of the blow-up edges built from
-    it, and a path of length 0 at v to the projections of the blow-up
-    vertices whose paths leave v."""
+    it, found by a scan over all of them, and a path of length 0 at v to the
+    projections of the blow-up vertices whose paths leave v."""
     g = bg.graph
     if not mu.edges:
         ats = [Path.at(p) for p in g.vertices if bg.path_of_vertex(p).source == mu.source]
@@ -99,7 +94,7 @@ def iota_path_image_by_products(bg: BlowupGraph, mu: Path) -> FormalSum:
     total = None
     for e in mu.edges:
         factor = FormalSum(g, {Word(Path((em,)), Path.at(em.range)): Fraction(1)
-                               for em in edges_from(bg, e)})
+                               for em in g.edges if bg.pair_of_edge(em)[0] == e})
         total = factor if total is None else total * factor
     return total
 
