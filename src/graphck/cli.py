@@ -110,6 +110,8 @@ def _analyze(g: DirectedGraph, args):
 
 
 def _ktheory(g: DirectedGraph, args):
+    if args.subquotients and args.verify_m is None:
+        raise ContractViolation("--subquotients needs --verify-m M")
     res = graph_k_theory(g)
     payload = _ktheory_payload(res)
     payload["verifications"] = []

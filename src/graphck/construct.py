@@ -66,10 +66,15 @@ class BlowupGraph:
         return self.graph.vertices[i]
 
     def path_of_vertex(self, v: Vertex) -> Path:
+        if not self.graph.has_vertex(v):
+            raise ContractViolation(f"vertex {v.id} is not a vertex of the blow-up")
         return self.tree.paths[self.graph.vertex_index(v)]
 
     def pair_of_edge(self, edge: Edge) -> tuple[Edge, Path]:
-        return self._pair_of_edge[edge]
+        pair = self._pair_of_edge.get(edge)
+        if pair is None:
+            raise ContractViolation(f"edge {edge.id} is not an edge of the blow-up")
+        return pair
 
     def walk_into(self, mu: Path, v: Vertex) -> Path:
         """The blow-up path into v whose edges carry the edges of mu.

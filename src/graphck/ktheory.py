@@ -234,8 +234,7 @@ def _require_ktheory_ready(g: DirectedGraph) -> None:
     bad = sinks(g)
     if bad:
         raise ContractViolation(
-            f"graph has a sink ({bad[0].id}); preprocess with add_tails, noting "
-            "that capped tails are refused here precisely because they are caps")
+            f"graph has a sink ({bad[0].id}); K-theory here covers sink-free graphs only")
 
 
 def graph_k_theory(g: DirectedGraph) -> KTheoryResult:

@@ -398,7 +398,7 @@ def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
                 tree.grow()
             for tau in tree.paths[tree.offsets[t]:tree.offsets[t + 1]]:
                 w = Word(embed_path(bg, mu * tau), embed_path(bg, nu * tau))
-                terms[w] = terms.get(w, Fraction(0)) + c
+                terms[w] = terms[w] + c if w in terms else c
     diff = normal_form(FormalSum(bg.graph, terms) - iota_word_image(bg, mu, nu),
                        AlgebraMode.CUNTZ_KRIEGER, depth)
     return ApproximationGap(diff, diff.max_abs_coefficient(), k_coefficients(m, a, b))

@@ -94,17 +94,13 @@ class FormalSum:
         self.terms: dict[Word, Fraction] = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                c = c if type(c) is Fraction else Fraction(c)
                 if c:
                     self.terms[w] = c
 
     @staticmethod
-    def zero(graph: DirectedGraph) -> "FormalSum":
-        return FormalSum(graph)
-
-    @staticmethod
     def of(graph: DirectedGraph, word: Word, coeff=1) -> "FormalSum":
-        return FormalSum(graph, {word: Fraction(coeff)})
+        return FormalSum(graph, {word: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,11 +113,7 @@ class FormalSum:
         self._require_same(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = out[w] + c if w in out else c
         return FormalSum(self.graph, out)
 
     def __neg__(self) -> "FormalSum":
@@ -140,13 +132,8 @@ class FormalSum:
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 w = _word_product(wa, wb)
-                if w is None:
-                    continue
-                s = out.get(w, Fraction(0)) + ca * cb
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                if w is not None:
+                    out[w] = out[w] + ca * cb if w in out else ca * cb
         return FormalSum(self.graph, out)
 
     def star(self) -> "FormalSum":
@@ -186,25 +173,20 @@ def normal_form(a: FormalSum, mode: AlgebraMode, depth: int | None = None) -> Fo
     at a common depth coincide.
     """
     if mode is AlgebraMode.TOEPLITZ:
-        return FormalSum(a.graph, dict(a.terms))
+        return FormalSum(a.graph, a.terms)
     g = a.graph
+    longest = max((len(w.alpha) for w in a.terms), default=0)
     if depth is None:
-        depth = max((len(w.alpha) for w in a.terms), default=0)
-    else:
-        too_long = max((len(w.alpha) for w in a.terms), default=0)
-        if depth < too_long:
-            raise ContractViolation(
-                f"leveling depth {depth} is below the longest left leg {too_long}")
+        depth = longest
+    elif depth < longest:
+        raise ContractViolation(
+            f"leveling depth {depth} is below the longest left leg {longest}")
     out: dict[Word, Fraction] = {}
     stack = list(a.terms.items())
     while stack:
         w, c = stack.pop()
         if len(w.alpha) >= depth or not g.out_edges(w.alpha.range):
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = out[w] + c if w in out else c
             continue
         for e in g.out_edges(w.alpha.range):
             ext = Path((e,))
@@ -212,11 +194,13 @@ def normal_form(a: FormalSum, mode: AlgebraMode, depth: int | None = None) -> Fo
     return FormalSum(g, out)
 
 
-def sums_equal(a: FormalSum, b: FormalSum, mode: AlgebraMode, depth: int | None = None) -> bool:
-    """Equality in the chosen algebra, by canonical forms at a common depth."""
-    if depth is None:
-        depth = max((len(w.alpha) for s in (a, b) for w in s.terms), default=0)
-    return normal_form(a - b, mode, depth).is_zero()
+def sums_equal(a: FormalSum, b: FormalSum, mode: AlgebraMode) -> bool:
+    """Equality in the chosen algebra: whether a - b levels to zero at its
+    longest left leg.  Any deeper level gives the same verdict: leveling a
+    leveled sum one more step is injective (distinct words have disjoint
+    nonempty sets of extensions), so NF_d(x) = 0 iff NF_d'(x) = 0 for any
+    d >= d' >= that length."""
+    return normal_form(a - b, mode).is_zero()
 
 
 @dataclass
@@ -234,13 +218,16 @@ def verify_tck_family(g: DirectedGraph,
                       vertex_images: Mapping[Vertex, FormalSum],
                       edge_images: Mapping[Edge, FormalSum],
                       mode: AlgebraMode) -> FamilyCheck:
-    """Check that the images satisfy the generating relations of the graph g.
+    """Check that the images q_v, t_e satisfy the generating relations of the
+    graph g, in this order, and return the first that fails by name:
 
-    Verified: vertex images are mutually orthogonal projections; each edge
-    image satisfies t*t = q at its range; the range projections tt* at a
-    common source are mutually orthogonal and dominated by the vertex image;
-    in Cuntz-Krieger mode they must sum to the vertex image at non-sinks.
-    Returns the first failing relation by name.
+    - per vertex v: selfadjoint(v), q_v* = q_v; projection(v), q_v q_v = q_v;
+      then orthogonality(v,w), q_v q_w = 0, for each later vertex w;
+    - per edge e: CK1(e), t_e* t_e = q_r(e);
+    - per vertex v, with r_e = t_e t_e* for its out-edges e: for each out-edge
+      e, CK2-orthogonality(e,f), r_e r_f = 0, for each later out-edge f, and
+      then CK2-domination(e), q_v r_e = r_e; then, in Cuntz-Krieger mode and
+      when v emits an edge, CK2-sum(v), the sum of the r_e equals q_v.
     """
     for v in g.vertices:
         if v not in vertex_images:
@@ -249,38 +236,29 @@ def verify_tck_family(g: DirectedGraph,
         if e not in edge_images:
             raise ContractViolation(f"no image given for edge {e.id}")
 
-    def eq(x: FormalSum, y: FormalSum) -> bool:
-        return sums_equal(x, y, mode)
+    def relations():  # (name, x, y): x = y, or x = 0 when y is None
+        for i, v in enumerate(g.vertices):
+            qv = vertex_images[v]
+            yield f"selfadjoint({v.id})", qv.star(), qv
+            yield f"projection({v.id})", qv * qv, qv
+            for w in g.vertices[i + 1:]:
+                yield f"orthogonality({v.id},{w.id})", qv * vertex_images[w], None
+        for e in g.edges:
+            te = edge_images[e]
+            yield f"CK1({e.id})", te.star() * te, vertex_images[e.range]
+        for v in g.vertices:
+            out = g.out_edges(v)
+            ranges = [edge_images[e] * edge_images[e].star() for e in out]
+            for i, e in enumerate(out):
+                for j in range(i + 1, len(out)):
+                    yield f"CK2-orthogonality({e.id},{out[j].id})", ranges[i] * ranges[j], None
+                yield f"CK2-domination({e.id})", vertex_images[v] * ranges[i], ranges[i]
+            if mode is AlgebraMode.CUNTZ_KRIEGER and out:
+                yield f"CK2-sum({v.id})", sum(ranges[1:], ranges[0]), vertex_images[v]
 
-    verts = list(g.vertices)
-    for i, v in enumerate(verts):
-        qv = vertex_images[v]
-        if not eq(qv.star(), qv):
-            return FamilyCheck(False, f"selfadjoint({v.id})")
-        if not eq(qv * qv, qv):
-            return FamilyCheck(False, f"projection({v.id})")
-        for w in verts[i + 1:]:
-            if not eq(qv * vertex_images[w], FormalSum.zero(qv.graph)):
-                return FamilyCheck(False, f"orthogonality({v.id},{w.id})")
-    for e in g.edges:
-        te = edge_images[e]
-        if not eq(te.star() * te, vertex_images[e.range]):
-            return FamilyCheck(False, f"CK1({e.id})")
-    for v in g.vertices:
-        out = g.out_edges(v)
-        ranges = [edge_images[e] * edge_images[e].star() for e in out]
-        for i, e in enumerate(out):
-            for j in range(i + 1, len(out)):
-                if not eq(ranges[i] * ranges[j], FormalSum.zero(ranges[i].graph)):
-                    return FamilyCheck(False, f"CK2-orthogonality({e.id},{out[j].id})")
-            if not eq(vertex_images[v] * ranges[i], ranges[i]):
-                return FamilyCheck(False, f"CK2-domination({e.id})")
-        if mode is AlgebraMode.CUNTZ_KRIEGER and out:
-            total = ranges[0]
-            for r in ranges[1:]:
-                total = total + r
-            if not eq(total, vertex_images[v]):
-                return FamilyCheck(False, f"CK2-sum({v.id})")
+    for name, x, y in relations():
+        if not normal_form(x if y is None else x - y, mode).is_zero():
+            return FamilyCheck(False, name)
     return FamilyCheck(True)
 
 
@@ -355,7 +333,7 @@ def gabe_approximate_identity(g: DirectedGraph, h: Iterable[Vertex],
     for v in g.vertices:
         if v in hs and v in xs:
             at = Path.at(v)
-            terms[Word(at, at)] = Fraction(1)
+            terms[Word(at, at)] = 1
     # paths with every source in the window outside the set whose last edge
     # enters the set; the acyclic quotient bounds their length
     frontier: list[Path] = [Path.at(v) for v in g.vertices if v in xs and v not in hs]
@@ -364,7 +342,7 @@ def gabe_approximate_identity(g: DirectedGraph, h: Iterable[Vertex],
         for e in g.out_edges(p.range):
             q = p * Path((e,))
             if e.range in hs:
-                terms[Word(q, q)] = Fraction(1)
+                terms[Word(q, q)] = 1
             elif e.range in xs:
                 frontier.append(q)
     return FormalSum(g, terms)

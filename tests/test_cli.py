@@ -170,6 +170,12 @@ def test_ktheory_subquotients(mixed_file, capsys):
     assert main(["ktheory", "--verify-m", "2", "--subquotients", mixed_file]) == 2
 
 
+def test_ktheory_subquotients_needs_verify_m(twoloop_file, capsys):
+    assert main(["ktheory", "--subquotients", twoloop_file]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--verify-m" in out.err
+
+
 def test_verify_m_sink_message(mixed_file, capsys):
     code = main(["verify-m", "--m", "3", mixed_file])
     assert code == 2

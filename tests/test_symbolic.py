@@ -124,6 +124,14 @@ def test_iota_refuses_generators_outside_the_base_graph():
             G.iota_image(bg, gen)
 
 
+def test_jm_refuses_generators_outside_the_blowup():
+    bg = G.blowup_graph(two_loop(), 2)
+    v = bg.graph.vertex("v")
+    for gen in (G.Vertex("zz"), G.Edge("x", v, v)):
+        with pytest.raises(ContractViolation, match=gen.id):
+            G.jm_image(bg, gen)
+
+
 def test_iota_m1_is_relabeling(rng):
     for _ in range(10):
         g = random_graph(rng, max_vertices=4, max_edges=6)
@@ -222,7 +230,7 @@ def test_gabe_commutation_examples():
     small = G.gabe_approximate_identity(m, h, {m.vertex("v")})
     bridge = Word(Path((m.edge("a"),)), Path.at(m.vertex("v")))
     assert not G.commutator_is_zero(small, bridge)
-    assert G.commutator_is_zero(FormalSum.zero(m), bridge)
+    assert G.commutator_is_zero(FormalSum(m), bridge)
 
 
 def test_gabe_projection_and_monotone():
@@ -353,7 +361,7 @@ def test_family_verdicts_are_pinned():
             elif kind == "add":
                 images[key] = images[key] + other_images[other]
             elif kind == "zero":
-                images[key] = FormalSum.zero(images[key].graph)
+                images[key] = FormalSum(images[key].graph)
             elif kind == "swap":
                 images[key], other_images[other] = other_images[other], images[key]
             elif kind == "adjoint":
