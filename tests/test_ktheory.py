@@ -184,6 +184,30 @@ def test_smith_form_and_witnesses_are_pinned():
     assert witness_hash.hexdigest() == WITNESS_DIGEST
 
 
+# sha256 of (K1 rank, m, k0_witnesses, k1_basis) of the m = 2, 3, 5
+# certificates of `test_witnesses_with_k1_are_pinned`; 33 of its 60 graphs
+# have K1 > 0.  These are the `--verify-m` payloads: update only as a
+# declared result change.
+K1_WITNESS_DIGEST = "a2cfa92d106bfa31c468f633dcb3b6488d150a9b0e1cdcc09c3f3b4c84751a1e"
+
+
+def test_witnesses_with_k1_are_pinned():
+    rng = random.Random(52021)
+    digest = hashlib.sha256()
+    kinds = {True: 0, False: 0}
+    for i in range(60):
+        g = (_component_graph(rng, rng.randint(1, 6)) if i % 2
+             else _sink_free_graph(rng, rng.randint(2, 30), max_out=3))
+        k1 = G.graph_k_theory(g).k1_rank
+        kinds[k1 > 0] += 1
+        for m in (2, 3, 5):
+            cert = G.verify_multiplication_by_m(g, m)
+            assert cert.ok and cert.reverify(), cert.failure
+            digest.update(repr((k1, m, cert.k0_witnesses, cert.k1_basis)).encode())
+    assert kinds[True] >= 15 and kinds[False] >= 15, kinds
+    assert digest.hexdigest() == K1_WITNESS_DIGEST
+
+
 def test_snf_without_unit_entries_reaches_the_divisibility_step(rng):
     # the pivot 2 divides its row and column (all 6s) but not the 3s in the
     # block, so the first step must mix an offending row in
