@@ -8,8 +8,7 @@ bounds.  Everything numeric is exact rational.
 """
 
 from .classify import IdealReport, Verdict, classify, ideal_report, purely_infinite
-from .construct import (BlowupGraph, add_tails, blowup_graph, embed_path,
-                        jeong_park_subgraph)
+from .construct import BlowupGraph, blowup_graph, embed_path, jeong_park_subgraph
 from .dsl import emit_graph, parse_graph, parse_pathspec
 from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
 from .graphs import (DirectedGraph, Edge, Path, Vertex, adjacency_matrix,
@@ -19,7 +18,7 @@ from .graphs import (DirectedGraph, Edge, Path, Vertex, adjacency_matrix,
                      satisfies_condition_L, sinks)
 from .ktheory import (KTheoryResult, SmithDecomposition,
                       graph_k_theory, induced_endomorphism_matrix,
-                      smith_normal_form, verify_multiplication_by_m,
+                      smith_diagonal, smith_normal_form, verify_multiplication_by_m,
                       verify_on_subquotients)
 from .rep import (ApproximationGap, KappaMatrix, KCoefficients, TruncatedRep,
                   approximation_gap, band_compression, build_rep,

@@ -25,7 +25,7 @@ from pathlib import Path as FsPath
 
 from .classify import classify as classify_graph
 from .classify import ideal_report
-from .ktheory import (KTheoryResult, graph_k_theory,
+from .ktheory import (KTheoryResult, _k_theory_with_certificate, graph_k_theory,
                       verify_multiplication_by_m, verify_on_subquotients)
 from .construct import blowup_graph, jeong_park_subgraph
 from .dsl import emit_graph, parse_graph, parse_pathspec
@@ -112,24 +112,26 @@ def _analyze(g: DirectedGraph, args):
 def _ktheory(g: DirectedGraph, args):
     if args.subquotients and args.verify_m is None:
         raise ContractViolation("--subquotients needs --verify-m M")
-    res = graph_k_theory(g)
+    if args.verify_m is None or args.subquotients:
+        res, cert = graph_k_theory(g), None
+    else:
+        res, cert = _k_theory_with_certificate(g, args.verify_m)
     payload = _ktheory_payload(res)
     payload["verifications"] = []
     ok = True
-    if args.verify_m is not None:
-        if args.subquotients:
-            report = verify_on_subquotients(g, args.verify_m)
-            for e in report.entries:
-                payload["verifications"].append({
-                    "target": e.target, "m": args.verify_m,
-                    "pass": e.status == "pass",
-                    "status": e.status,
-                    "certificate": _cert_payload(e.certificate)})
-            ok = report.ok
-        else:
-            entry = _whole_graph_m(g, args.verify_m)
-            payload["verifications"].append({"target": "whole graph", **entry})
-            ok = entry["pass"]
+    if args.subquotients:
+        report = verify_on_subquotients(g, args.verify_m)
+        for e in report.entries:
+            payload["verifications"].append({
+                "target": e.target, "m": args.verify_m,
+                "pass": e.status == "pass",
+                "status": e.status,
+                "certificate": _cert_payload(e.certificate)})
+        ok = report.ok
+    elif cert is not None:
+        entry = _whole_graph_entry(cert)
+        payload["verifications"].append({"target": "whole graph", **entry})
+        ok = entry["pass"]
     lines = [f"K0: free rank {res.k0_free_rank}, torsion {res.k0_torsion or 'none'}",
              f"K1: free rank {res.k1_rank}"]
     for v in payload["verifications"]:
@@ -138,11 +140,10 @@ def _ktheory(g: DirectedGraph, args):
     return payload, lines, 0 if ok else 1, []
 
 
-def _whole_graph_m(g: DirectedGraph, m: int) -> dict:
-    """Multiplication-by-m certificate for the whole graph; its `pass`
-    re-checks every stored witness and decides the exit code."""
-    cert = verify_multiplication_by_m(g, m)
-    return {"m": m, "pass": cert.reverify(), "certificate": _cert_payload(cert)}
+def _whole_graph_entry(cert) -> dict:
+    """The whole graph's multiplication-by-m entry; its `pass` re-checks
+    every stored witness and decides the exit code."""
+    return {"m": cert.m, "pass": cert.reverify(), "certificate": _cert_payload(cert)}
 
 
 def _cert_payload(cert) -> dict:
@@ -259,7 +260,7 @@ def _quasidiag(g: DirectedGraph, args):
 
 
 def _verify_m(g: DirectedGraph, args):
-    result = _whole_graph_m(g, args.m)
+    result = _whole_graph_entry(verify_multiplication_by_m(g, args.m))
     ok = result["pass"]
     return (result, ["PASS" if ok else f"FAIL ({result['certificate']['failure']})"],
             0 if ok else 1, [])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ContractViolation
 from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, cycle_vertices,
-                     first_return_counts, reaching, sinks, unique_first_return)
+                     first_return_counts, reaching, unique_first_return)
 
 
 # synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
@@ -206,28 +206,3 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
                     f"no alternative cycle exists through the cycle at {w.id}")
         sub = subgraph(chosen)
     raise AssertionError("closure did not stabilize")
-
-
-def add_tails(g: DirectedGraph, depth: int) -> DirectedGraph:
-    """Append a fresh length-`depth` chain after every sink.
-
-    The result is flagged `tail_truncated`: the true sink-free completion is
-    infinite, and exact invariants refuse to work on the capped stand-in.
-    """
-    if depth < 1:
-        raise ContractViolation("depth must be positive")
-    sink_list = sinks(g)
-    if not sink_list:
-        return g
-    vertex_ids = {v.id for v in g.vertices}
-    edge_ids = {e.id for e in g.edges}
-    vertices = list(g.vertices)
-    edges = list(g.edges)
-    for w in sink_list:
-        prev = w
-        for i in range(1, depth + 1):
-            nxt = Vertex(_fresh(vertex_ids, f"{w.id}_tail{i}"))
-            vertices.append(nxt)
-            edges.append(Edge(_fresh(edge_ids, f"{w.id}_tailedge{i}"), prev, nxt))
-            prev = nxt
-    return DirectedGraph(vertices, edges, tail_truncated=True)

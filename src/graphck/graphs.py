@@ -119,14 +119,11 @@ class Path:
 class DirectedGraph:
     """Finite directed multigraph with insertion-ordered vertices and edges."""
 
-    __slots__ = ("vertices", "edges", "tail_truncated", "_vindex", "_out", "_in")
+    __slots__ = ("vertices", "edges", "_vindex", "_out", "_in")
 
-    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge],
-                 tail_truncated: bool = False):
+    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        # flagged when sinks were capped with finite tails (see constructions)
-        self.tail_truncated = tail_truncated
         self._vindex: dict[Vertex, int] = {}
         for i, v in enumerate(self.vertices):
             if v in self._vindex:  # Vertex compares by id

@@ -1,15 +1,21 @@
 """Exact K-theory of finite sink-free graphs via Smith normal form.
 
 The two K-groups are the kernel and cokernel over the integers of I - A^t,
-where A counts edges between vertices.  The endomorphism induced by the
-m-fold inclusion-reinclusion composite acts on vertex classes as the
-geometric sum of powers of A^t, and the verification routines certify that
-it agrees with multiplication by m on both groups, with integer witnesses.
+where A counts edges between vertices.  Their ranks and torsion are read
+from the Smith diagonal alone, which `smith_diagonal` finds by eliminating
+unit pivots on sparse rows and factoring only the small remainder densely.
+The endomorphism induced by the m-fold inclusion-reinclusion composite acts
+on vertex classes as the geometric sum of powers of A^t, and the
+verification routines certify that it agrees with multiplication by m on
+both groups, with integer witnesses.  Where K1 = 0 the K0 witnesses have a
+closed form; the unimodular transforms U and V of `smith_normal_form` serve
+only the certificates of graphs with K1 > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .errors import ContractViolation
@@ -195,6 +201,80 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition([row[:] for row in matrix], u, d, v)
 
 
+def smith_diagonal(matrix: IntMatrix) -> list[int]:
+    """The Smith diagonal alone, without U and V.
+
+    While some entry is +-1, pivot on the one of least fill, (row nnz - 1) *
+    (col nnz - 1), and clear its column by row operations on sparse row
+    dicts; column operations would then clear its row without touching the
+    rest, so the matrix is equivalent to [1] plus the remaining block.  The
+    nonzero rows and columns left over go to the dense `smith_normal_form`,
+    and the zero ones add zeros at the end.  The Smith diagonal is unique,
+    so this is `smith_normal_form(matrix).diagonal` whatever the pivot order.
+    """
+    size = min(len(matrix), len(matrix[0]) if matrix else 0)
+    return _sparse_smith_diagonal([{j: x for j, x in enumerate(row) if x} for row in matrix],
+                                  size)
+
+
+def _sparse_smith_diagonal(sparse_rows: list[dict[int, int]], size: int) -> list[int]:
+    """`smith_diagonal` of the matrix whose nonzero entries are these row
+    dicts (consumed), with min(rows, columns) = size.
+
+    A heap holds (fill, row, column) of the unit entries, pushed again
+    whenever an elimination changes their row or column; a popped entry
+    whose fill is no longer current is stale and skipped.  Ties go to the
+    lowest row, then the lowest column."""
+    rows = dict(enumerate(sparse_rows))
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in rows.items() for j, x in row.items() if x == 1 or x == -1]
+    heapify(heap)
+    units = 0
+    while heap:
+        fill, r, c = heappop(heap)
+        prow = rows.get(r)
+        p = prow.get(c) if prow is not None else None
+        if (p != 1 and p != -1) or fill != (len(prow) - 1) * (len(cols[c]) - 1):
+            continue
+        del rows[r], prow[c]
+        for j in prow:
+            cols[j].discard(r)
+        touched = cols.pop(c)
+        touched.discard(r)
+        for i in touched:
+            row = rows[i]
+            f = row.pop(c) * p  # p = +-1, so row_i -= (x / p) * row_r
+            for j, y in prow.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+        for i in touched:
+            row = rows[i]
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+        for j in prow:
+            col = cols[j]
+            for i in col - touched:
+                row = rows[i]
+                if row[j] == 1 or row[j] == -1:
+                    heappush(heap, ((len(row) - 1) * (len(col) - 1), i, j))
+        units += 1
+    live = sorted(j for j, col in cols.items() if col)
+    rest = [[row.get(j, 0) for j in live] for row in rows.values() if row]
+    diagonal = [1] * units + (smith_normal_form(rest).diagonal if rest else [])
+    return diagonal + [0] * (size - len(diagonal))
+
+
 @dataclass
 class KTheoryResult:
     """Kernel/cokernel presentation of I - A^t."""
@@ -203,7 +283,6 @@ class KTheoryResult:
     k0_free_rank: int
     k0_torsion: list[int]
     k1_rank: int
-    decomposition: SmithDecomposition
 
 
 def integer_kernel_basis(snf: SmithDecomposition) -> list[list[int]]:
@@ -226,25 +305,37 @@ def connectivity_matrix(g: DirectedGraph) -> IntMatrix:
     return [[(1 if i == j else 0) - a[j][i] for j in range(n)] for i in range(n)]
 
 
+def _connectivity_rows(g: DirectedGraph) -> list[dict[int, int]]:
+    """The nonzero entries of I - A^t, row by row: row i holds 1 at column i,
+    less one at column j for each edge from vertex j into vertex i."""
+    index = g.vertex_index
+    rows = [{i: 1} for i in range(len(g.vertices))]
+    for e in g.edges:
+        row = rows[index(e.range)]
+        j = index(e.source)
+        row[j] = row.get(j, 0) - 1
+    for i, row in enumerate(rows):
+        if not row[i]:
+            del row[i]
+    return rows
+
+
 def _require_ktheory_ready(g: DirectedGraph) -> None:
-    if g.tail_truncated:
-        raise ContractViolation(
-            "graph carries capped tails; its K-theory would reflect the cap, "
-            "not the sink-free completion")
     bad = sinks(g)
     if bad:
         raise ContractViolation(
             f"graph has a sink ({bad[0].id}); K-theory here covers sink-free graphs only")
 
 
+def _k_theory_of(g: DirectedGraph, diagonal: list[int]) -> KTheoryResult:
+    free = diagonal.count(0)
+    return KTheoryResult(g, free, [x for x in diagonal if x > 1], free)
+
+
 def graph_k_theory(g: DirectedGraph) -> KTheoryResult:
-    """K0 = coker(I - A^t) and K1 = ker(I - A^t), presented via Smith form."""
+    """K0 = coker(I - A^t) and K1 = ker(I - A^t), read from the Smith diagonal."""
     _require_ktheory_ready(g)
-    snf = smith_normal_form(connectivity_matrix(g))
-    diag = snf.diagonal
-    free = sum(1 for x in diag if x == 0)
-    torsion = [x for x in diag if x > 1]
-    return KTheoryResult(g, free, torsion, free, snf)
+    return _k_theory_of(g, _sparse_smith_diagonal(_connectivity_rows(g), len(g.vertices)))
 
 
 def induced_endomorphism_matrix(g: DirectedGraph, m: int) -> IntMatrix:
@@ -274,17 +365,21 @@ class MultiplicationCertificate:
 
     def reverify(self) -> bool:
         """Re-check every stored witness from scratch; False for a failed certificate."""
-        phi = connectivity_matrix(self.graph)
+        phi = _connectivity_rows(self.graph)
         b = induced_endomorphism_matrix(self.graph, self.m)
         n = len(phi)
         index = {v.id: i for i, v in enumerate(self.graph.vertices)}
+
+        def phi_times(x: list[int]) -> list[int]:
+            return [sum(c * x[j] for j, c in row.items()) for row in phi]
+
         for vid, x in self.k0_witnesses.items():
             idx = index[vid]
             y = [b[i][idx] - (self.m if i == idx else 0) for i in range(n)]
-            if _mat_vec(phi, x) != y:
+            if phi_times(x) != y:
                 return False
         for x in self.k1_basis:
-            if _mat_vec(phi, x) != [0] * n:
+            if phi_times(x) != [0] * n:
                 return False
             if _mat_vec(b, x) != [self.m * c for c in x]:
                 return False
@@ -309,21 +404,35 @@ def _solve_integer(snf: SmithDecomposition, y: list[int]) -> list[int] | None:
     return _mat_vec(snf.v, z)
 
 
-def verify_multiplication_by_m(g: DirectedGraph, m: int) -> MultiplicationCertificate:
-    """Certify the multiplication-by-m action of the induced endomorphism.
+def _closed_form_witness(g: DirectedGraph, v: Vertex, m: int) -> list[int]:
+    """-sum_{j=0}^{m-2} (m-1-j) (A^t)^j e_v, one layer of walks from v at a
+    time: (A^t)^j e_v counts the paths of length j leaving v by range."""
+    x = [0] * len(g.vertices)
+    layer = {v: 1}
+    for weight in range(m - 1, 0, -1):
+        for w, c in layer.items():
+            x[g.vertex_index(w)] -= weight * c
+        if weight > 1:
+            nxt: dict[Vertex, int] = {}
+            for w, c in layer.items():
+                for e in g.out_edges(w):
+                    nxt[e.range] = nxt.get(e.range, 0) + c
+            layer = nxt
+    return x
 
-    K0: for each vertex class, (geometric sum - m) applied to it must land in
-    the image of I - A^t over the integers; the solution vector is kept.
-    K1: the geometric sum must fix-and-scale an integer kernel basis exactly.
-    """
-    _require_ktheory_ready(g)
-    if m < 1:
-        raise ContractViolation("m must be positive")
+
+def _certify(g: DirectedGraph, m: int, diagonal: list[int]) -> MultiplicationCertificate:
+    """The certificate of `verify_multiplication_by_m`, given the Smith
+    diagonal of I - A^t."""
+    cert = MultiplicationCertificate(g, m, True)
+    if 0 not in diagonal:
+        for v in g.vertices:
+            cert.k0_witnesses[v.id] = _closed_form_witness(g, v, m)
+        return cert
     phi = connectivity_matrix(g)
     snf = smith_normal_form(phi)
     b = induced_endomorphism_matrix(g, m)
     n = len(phi)
-    cert = MultiplicationCertificate(g, m, True)
     for idx, vtx in enumerate(g.vertices):
         y = [b[i][idx] - (m if i == idx else 0) for i in range(n)]
         x = _solve_integer(snf, y)
@@ -339,6 +448,36 @@ def verify_multiplication_by_m(g: DirectedGraph, m: int) -> MultiplicationCertif
             return cert
         cert.k1_basis.append(x)
     return cert
+
+
+def verify_multiplication_by_m(g: DirectedGraph, m: int) -> MultiplicationCertificate:
+    """Certify the multiplication-by-m action of the induced endomorphism.
+
+    K0: for each vertex class, (geometric sum - m) applied to it must land in
+    the image of I - A^t over the integers; the solution vector is kept.
+    K1: the geometric sum must fix-and-scale an integer kernel basis exactly.
+
+    With B = sum_{k<m} (A^t)^k, the telescoping identity
+    (I - A^t) sum_{j<k} (A^t)^j = I - (A^t)^k, summed over k = 1..m-1, gives
+    B - mI = -(I - A^t) sum_{j=0}^{m-2} (m-1-j) (A^t)^j.  So on every graph
+    x_v = -sum_{j=0}^{m-2} (m-1-j) (A^t)^j e_v solves (I - A^t) x = (B - m) e_v.
+    When the Smith diagonal has no zero, K1 = ker(I - A^t) = 0 and that
+    solution is the only one, so it is the witness any solver would find, and
+    there is no kernel basis to check.  Otherwise the witnesses come from the
+    unimodular U and V of `smith_normal_form`, and the kernel basis from V.
+    """
+    return _k_theory_with_certificate(g, m)[1]
+
+
+def _k_theory_with_certificate(g: DirectedGraph, m: int
+                               ) -> tuple[KTheoryResult, MultiplicationCertificate]:
+    """`graph_k_theory(g)` and `verify_multiplication_by_m(g, m)` from one
+    Smith diagonal of I - A^t."""
+    _require_ktheory_ready(g)
+    if m < 1:
+        raise ContractViolation("m must be positive")
+    diagonal = _sparse_smith_diagonal(_connectivity_rows(g), len(g.vertices))
+    return _k_theory_of(g, diagonal), _certify(g, m, diagonal)
 
 
 @dataclass

@@ -185,10 +185,11 @@ def normal_form(a: FormalSum, mode: AlgebraMode, depth: int | None = None) -> Fo
     stack = list(a.terms.items())
     while stack:
         w, c = stack.pop()
-        if len(w.alpha) >= depth or not g.out_edges(w.alpha.range):
+        edges = g.out_edges(w.alpha.range) if len(w.alpha) < depth else ()
+        if not edges:
             out[w] = out[w] + c if w in out else c
             continue
-        for e in g.out_edges(w.alpha.range):
+        for e in edges:
             ext = Path((e,))
             stack.append((Word(w.alpha * ext, w.beta * ext, w.unit), c))
     return FormalSum(g, out)

@@ -7,7 +7,8 @@ walks, invariant factors by Smith normal form, the geometric-sum column by
 matrix powers.  These are the independent routes the tests compare against --
 brute-force first returns, fixed-point closure, block recursion and products
 of edge images, minor gcds, path enumeration -- kept out of the library
-because nothing but the tests runs them.
+because nothing but the tests runs them.  `add_tails` builds the capped
+stand-in for a graph with sinks that K-theory must refuse.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable
 
-from graphck.construct import BlowupGraph
+from graphck.construct import BlowupGraph, _fresh
 from graphck.errors import ContractViolation, ResourceLimit
-from graphck.graphs import DirectedGraph, Path, Vertex, _as_vertex_set, paths_from
-from graphck.ktheory import IntMatrix, KTheoryResult, _det
+from graphck.graphs import (DirectedGraph, Edge, Path, Vertex, _as_vertex_set, paths_from,
+                            sinks)
+from graphck.ktheory import (IntMatrix, KTheoryResult, _det, connectivity_matrix,
+                             smith_normal_form)
 from graphck.symbolic import FormalSum, Word
 
 
@@ -174,9 +177,11 @@ def smith_diagonal_by_minors(matrix: IntMatrix) -> list[int]:
 
 
 def k0_class(res: KTheoryResult, x: list[int]) -> tuple[int, ...]:
-    """Coordinates of an integer vector in the cokernel presentation."""
-    z = [sum(a * b for a, b in zip(row, x)) for row in res.decomposition.u]
-    diag = res.decomposition.diagonal
+    """Coordinates of an integer vector in the cokernel presentation, read
+    through the U of the Smith form of the graph's I - A^t."""
+    snf = smith_normal_form(connectivity_matrix(res.graph))
+    z = [sum(a * b for a, b in zip(row, x)) for row in snf.u]
+    diag = snf.diagonal
     out = []
     for i, c in enumerate(z):
         di = diag[i] if i < len(diag) else 0
@@ -195,3 +200,26 @@ def vertex_range_counts(g: DirectedGraph, v: Vertex, m: int) -> list[int]:
         for p in paths_from(g, v, length):
             counts[g.vertex_index(p.range)] += 1
     return counts
+
+
+def add_tails(g: DirectedGraph, depth: int) -> DirectedGraph:
+    """Append a fresh length-`depth` chain after every sink.  The true
+    sink-free completion is infinite; the capped stand-in still ends in a
+    sink at each chain's end."""
+    if depth < 1:
+        raise ContractViolation("depth must be positive")
+    sink_list = sinks(g)
+    if not sink_list:
+        return g
+    vertex_ids = {v.id for v in g.vertices}
+    edge_ids = {e.id for e in g.edges}
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    for w in sink_list:
+        prev = w
+        for i in range(1, depth + 1):
+            nxt = Vertex(_fresh(vertex_ids, f"{w.id}_tail{i}"))
+            vertices.append(nxt)
+            edges.append(Edge(_fresh(edge_ids, f"{w.id}_tailedge{i}"), prev, nxt))
+            prev = nxt
+    return DirectedGraph(vertices, edges)

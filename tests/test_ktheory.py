@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import random
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphck as G
+import graphck.cli as cli
 from graphck import ktheory
 from graphck.errors import ContractViolation
-from graphck.ktheory import connectivity_matrix, smith_normal_form
+from graphck.ktheory import connectivity_matrix, smith_diagonal, smith_normal_form
 
 from conftest import (dumbbell, mixed_m, random_graph, single_loop, three_loop,
                       two_loop, two_vertex_pi, u_graph)
-from oracles import k0_class, smith_diagonal_by_minors, vertex_range_counts
+from oracles import add_tails, k0_class, smith_diagonal_by_minors, vertex_range_counts
 
 
 def test_snf_examples():
@@ -83,8 +87,9 @@ def test_graph_k_theory_refuses_sinks():
 
 
 def test_graph_k_theory_refuses_capped_tails():
-    capped = G.add_tails(G.DirectedGraph.build(["v", "w"], [("e", "v", "w")]), 2)
-    with pytest.raises(ContractViolation):
+    # capping leaves a sink at the end of each tail, and the sink check refuses it
+    capped = add_tails(G.DirectedGraph.build(["v", "w"], [("e", "v", "w")]), 2)
+    with pytest.raises(ContractViolation, match=r"sink \(w_tail2\)"):
         G.graph_k_theory(capped)
 
 
@@ -208,7 +213,7 @@ def test_witnesses_with_k1_are_pinned():
     assert digest.hexdigest() == K1_WITNESS_DIGEST
 
 
-def test_snf_without_unit_entries_reaches_the_divisibility_step(rng):
+def _matrices_without_unit_entries(rng: random.Random) -> list[list[list[int]]]:
     # the pivot 2 divides its row and column (all 6s) but not the 3s in the
     # block, so the first step must mix an offending row in
     offender = [[6 if i != j and (i + j) % 3 == 0 else 0 for j in range(6)]
@@ -220,10 +225,99 @@ def test_snf_without_unit_entries_reaches_the_divisibility_step(rng):
         n = rng.randint(6, 8)
         mats.append([[rng.choice((0, 2, -2, 3, -3, 6, -6)) for _ in range(n)]
                      for _ in range(n)])
-    for mat in mats:
+    return mats
+
+
+def test_snf_without_unit_entries_reaches_the_divisibility_step(rng):
+    for mat in _matrices_without_unit_entries(rng):
         snf = smith_normal_form(mat)
         assert snf.verify()
         assert snf.diagonal == smith_diagonal_by_minors(mat)
+
+
+def test_smith_diagonal_against_minor_gcd_oracle(rng):
+    """Matrices with no unit entry go to the dense remainder whole; the
+    random ones mix unit pivots and a remainder, in every shape up to 6 x 6."""
+    mats = _matrices_without_unit_entries(rng) + [
+        [], [[]], [[], []], [[0, 0], [0, 0], [0, 0]], [[1, 2, 3]], [[2], [4], [6]],
+        [[0, 1], [1, 0]], [[1, 1], [1, 1]], [[-1, 2], [3, -1]]]
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        values = rng.choice(((-1, 0, 1), (-2, -1, 0, 0, 1, 2), (-4, -3, -1, 0, 0, 0, 2, 3, 4)))
+        mats.append([[rng.choice(values) for _ in range(m)] for _ in range(n)])
+    for mat in mats:
+        assert smith_diagonal(mat) == smith_diagonal_by_minors(mat), mat
+
+
+def _differential_graphs(seed: int) -> list[G.DirectedGraph]:
+    """200 sink-free graphs of 2-60 vertices with loops and multi-edges, and
+    100 component graphs, most of which have K1 > 0."""
+    rng = random.Random(seed)
+    graphs = [_sink_free_graph(rng, rng.randint(2, 60), max_out=rng.randint(1, 4))
+              for _ in range(200)]
+    graphs += [_component_graph(rng, rng.randint(1, 8)) for _ in range(100)]
+    return graphs
+
+
+def test_smith_diagonal_matches_the_smith_form_on_graphs():
+    loops = multi = kernel = torsion = 0
+    for g in _differential_graphs(70117):
+        mat = connectivity_matrix(g)
+        want = smith_normal_form(mat).diagonal
+        assert smith_diagonal(mat) == want
+        res = G.graph_k_theory(g)
+        assert (res.k0_free_rank, res.k0_torsion, res.k1_rank) == (
+            want.count(0), [x for x in want if x > 1], want.count(0))
+        pairs = [(e.source, e.range) for e in g.edges]
+        loops += any(s == r for s, r in pairs)
+        multi += len(set(pairs)) < len(pairs)
+        kernel += res.k1_rank > 0
+        torsion += bool(res.k0_torsion)
+    assert min(loops, multi, kernel, torsion) >= 50, (loops, multi, kernel, torsion)
+
+
+def test_closed_form_witnesses_are_the_solver_witnesses():
+    """Where K1 = 0, each certificate's K0 witness is the U/V solver's."""
+    checked = 0
+    for g in _differential_graphs(70117):
+        snf = smith_normal_form(connectivity_matrix(g))
+        if 0 in snf.diagonal:
+            continue
+        n = len(g.vertices)
+        for m in (1, 2, 3, 5):
+            b = G.induced_endomorphism_matrix(g, m)
+            cert = G.verify_multiplication_by_m(g, m)
+            assert cert.ok and cert.reverify() and cert.k1_basis == []
+            for idx, v in enumerate(g.vertices):
+                y = [b[i][idx] - (m if i == idx else 0) for i in range(n)]
+                assert cert.k0_witnesses[v.id] == ktheory._solve_integer(snf, y)
+                checked += 1
+    assert checked > 6000, checked
+
+
+def test_ktheory_verify_m_factors_once(tmp_path, monkeypatch):
+    """One `ktheory --verify-m` command computes the Smith diagonal once, and
+    solves through U and V only where K1 > 0."""
+    calls = {"diagonal": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ktheory, "_sparse_smith_diagonal",
+                        counted("diagonal", ktheory._sparse_smith_diagonal))
+    monkeypatch.setattr(ktheory, "_solve_integer", counted("solve", ktheory._solve_integer))
+    for g, k1, solves in ((two_vertex_pi(), 0, 0), (single_loop(), 1, 1), (dumbbell(), 1, 2)):
+        path = tmp_path / "g.g"
+        path.write_text(G.emit_graph(g))
+        calls.update(diagonal=0, solve=0)
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["ktheory", "--verify-m", "3", "--json", str(path)]) == 0
+        result = json.loads(out.getvalue())["result"]
+        assert result["k1"]["rank"] == k1 and result["verifications"][0]["pass"]
+        assert calls == {"diagonal": 1, "solve": solves}
 
 
 def _component_graph(rng: random.Random, n_comp: int) -> G.DirectedGraph:
