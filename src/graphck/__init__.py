@@ -11,15 +11,12 @@ from .classify import IdealReport, Verdict, classify, ideal_report, purely_infin
 from .construct import BlowupGraph, blowup_graph, embed_path, jeong_park_subgraph
 from .dsl import emit_graph, parse_graph, parse_pathspec
 from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
-from .graphs import (DirectedGraph, Edge, Path, Vertex, adjacency_matrix,
-                     enumerate_hereditary_saturated,
+from .graphs import (DirectedGraph, Edge, Path, Vertex, enumerate_hereditary_saturated,
                      every_vertex_connects_to_cycle, is_acyclic, paths,
                      quotient_graph, restriction_graph, satisfies_condition_K,
                      satisfies_condition_L, sinks)
-from .ktheory import (KTheoryResult, SmithDecomposition,
-                      graph_k_theory, induced_endomorphism_matrix,
-                      smith_diagonal, smith_normal_form, verify_multiplication_by_m,
-                      verify_on_subquotients)
+from .ktheory import (KTheoryResult, SmithDecomposition, graph_k_theory, smith_diagonal,
+                      smith_normal_form, verify_multiplication_by_m, verify_on_subquotients)
 from .rep import (ApproximationGap, KappaMatrix, KCoefficients, TruncatedRep,
                   approximation_gap, band_compression, build_rep,
                   k_coefficients, kappa_matrix, matrix_unit, path_projection,

@@ -191,15 +191,6 @@ class DirectedGraph:
         return f"DirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def adjacency_matrix(g: DirectedGraph) -> list[list[int]]:
-    """Vertex-by-vertex matrix counting edges v -> w, in insertion order."""
-    n = len(g.vertices)
-    mat = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        mat[g.vertex_index(e.source)][g.vertex_index(e.range)] += 1
-    return mat
-
-
 class PathTree:
     """The paths from root vertices (by default all), grown one length at a time.
 

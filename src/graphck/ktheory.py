@@ -5,22 +5,25 @@ where A counts edges between vertices.  Their ranks and torsion are read
 from the Smith diagonal alone, which `smith_diagonal` finds by eliminating
 unit pivots on sparse rows and factoring only the small remainder densely.
 The endomorphism induced by the m-fold inclusion-reinclusion composite acts
-on vertex classes as the geometric sum of powers of A^t, and the
-verification routines certify that it agrees with multiplication by m on
-both groups, with integer witnesses.  Where K1 = 0 the K0 witnesses have a
-closed form; the unimodular transforms U and V of `smith_normal_form` serve
-only the certificates of graphs with K1 > 0.
+on vertex classes as the geometric sum B = I + A^t + ... + (A^t)^(m-1), and
+the verification routines certify that it agrees with multiplication by m on
+both groups, with integer witnesses.  B is never formed as a matrix: it acts
+by walks along edges, since (A^t)^j e_v counts the paths of length j leaving
+v by range, and `_power_sum` pushes a vector along out-edges one layer at a
+time.  Where K1 = 0 the K0 witnesses have a closed form; the unimodular
+transforms U and V of `smith_normal_form` serve only the certificates of
+graphs with K1 > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .errors import ContractViolation
-from .graphs import (DirectedGraph, Vertex, adjacency_matrix,
-                     enumerate_hereditary_saturated, sinks)
+from .graphs import DirectedGraph, Vertex, enumerate_hereditary_saturated, sinks
 
 IntMatrix = list[list[int]]
 
@@ -50,10 +53,6 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def _mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in a]
-
-
-def _transpose(a: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def _det(a: IntMatrix) -> int:
@@ -299,10 +298,9 @@ def integer_kernel_basis(snf: SmithDecomposition) -> list[list[int]]:
 
 
 def connectivity_matrix(g: DirectedGraph) -> IntMatrix:
-    """I - A^t, the presentation matrix of both K-groups."""
-    a = adjacency_matrix(g)
-    n = len(a)
-    return [[(1 if i == j else 0) - a[j][i] for j in range(n)] for i in range(n)]
+    """I - A^t, the presentation matrix of both K-groups, as a dense matrix."""
+    n = len(g.vertices)
+    return [[row.get(j, 0) for j in range(n)] for row in _connectivity_rows(g)]
 
 
 def _connectivity_rows(g: DirectedGraph) -> list[dict[int, int]]:
@@ -338,18 +336,38 @@ def graph_k_theory(g: DirectedGraph) -> KTheoryResult:
     return _k_theory_of(g, _sparse_smith_diagonal(_connectivity_rows(g), len(g.vertices)))
 
 
-def induced_endomorphism_matrix(g: DirectedGraph, m: int) -> IntMatrix:
-    """Geometric sum I + A^t + ... + (A^t)^(m-1), by Horner iteration."""
-    if m < 1:
-        raise ContractViolation("m must be positive")
-    at = _transpose(adjacency_matrix(g))
-    n = len(at)
-    total = _identity(n)
-    for _ in range(m - 1):
-        total = _mat_mul(at, total)
-        for i in range(n):
-            total[i][i] += 1
-    return total
+def _power_sum(g: DirectedGraph, x: dict[Vertex, int], weights: Iterable[int]) -> list[int]:
+    """sum_j weights[j] (A^t)^j x as a vector by vertex index, for x given by
+    its nonzero entries.  (A^t x)_w sums x_v over the edges v -> w, so each
+    power pushes the previous layer one step along out-edges: (A^t)^j e_v
+    counts the paths of length j leaving v by range."""
+    index = g.vertex_index
+    out = [0] * len(g.vertices)
+    layer = x
+    for j, weight in enumerate(weights):
+        if j:
+            nxt: dict[Vertex, int] = {}
+            for v, c in layer.items():
+                for e in g.out_edges(v):
+                    nxt[e.range] = nxt.get(e.range, 0) + c
+            layer = nxt
+        for v, c in layer.items():
+            out[index(v)] += weight * c
+    return out
+
+
+def _k0_target(g: DirectedGraph, v: Vertex, m: int) -> list[int]:
+    """(B - m) e_v with B = sum_{j<m} (A^t)^j: the vector that v's K0 witness
+    x must give as (I - A^t) x."""
+    y = _power_sum(g, {v: 1}, [1] * m)
+    y[g.vertex_index(v)] -= m
+    return y
+
+
+def _scales_by_m(g: DirectedGraph, x: list[int], m: int) -> bool:
+    """B x == m x, for x a vector by vertex index."""
+    return (_power_sum(g, {v: c for v, c in zip(g.vertices, x) if c}, [1] * m)
+            == [m * c for c in x])
 
 
 @dataclass
@@ -364,24 +382,26 @@ class MultiplicationCertificate:
     failure: str | None = None
 
     def reverify(self) -> bool:
-        """Re-check every stored witness from scratch; False for a failed certificate."""
-        phi = _connectivity_rows(self.graph)
-        b = induced_endomorphism_matrix(self.graph, self.m)
+        """Re-check every stored witness from scratch; False for a failed
+        certificate, and for one without exactly one K0 witness per vertex or
+        with a vector of the wrong length."""
+        if self.m < 1:
+            raise ContractViolation("m must be positive")
+        g = self.graph
+        phi = _connectivity_rows(g)
         n = len(phi)
-        index = {v.id: i for i, v in enumerate(self.graph.vertices)}
 
         def phi_times(x: list[int]) -> list[int]:
             return [sum(c * x[j] for j, c in row.items()) for row in phi]
 
-        for vid, x in self.k0_witnesses.items():
-            idx = index[vid]
-            y = [b[i][idx] - (self.m if i == idx else 0) for i in range(n)]
-            if phi_times(x) != y:
+        if (self.k0_witnesses.keys() != {v.id for v in g.vertices}
+                or any(len(x) != n for x in [*self.k0_witnesses.values(), *self.k1_basis])):
+            return False
+        for v in g.vertices:
+            if phi_times(self.k0_witnesses[v.id]) != _k0_target(g, v, self.m):
                 return False
         for x in self.k1_basis:
-            if phi_times(x) != [0] * n:
-                return False
-            if _mat_vec(b, x) != [self.m * c for c in x]:
+            if phi_times(x) != [0] * n or not _scales_by_m(g, x, self.m):
                 return False
         return self.ok
 
@@ -404,45 +424,24 @@ def _solve_integer(snf: SmithDecomposition, y: list[int]) -> list[int] | None:
     return _mat_vec(snf.v, z)
 
 
-def _closed_form_witness(g: DirectedGraph, v: Vertex, m: int) -> list[int]:
-    """-sum_{j=0}^{m-2} (m-1-j) (A^t)^j e_v, one layer of walks from v at a
-    time: (A^t)^j e_v counts the paths of length j leaving v by range."""
-    x = [0] * len(g.vertices)
-    layer = {v: 1}
-    for weight in range(m - 1, 0, -1):
-        for w, c in layer.items():
-            x[g.vertex_index(w)] -= weight * c
-        if weight > 1:
-            nxt: dict[Vertex, int] = {}
-            for w, c in layer.items():
-                for e in g.out_edges(w):
-                    nxt[e.range] = nxt.get(e.range, 0) + c
-            layer = nxt
-    return x
-
-
 def _certify(g: DirectedGraph, m: int, diagonal: list[int]) -> MultiplicationCertificate:
     """The certificate of `verify_multiplication_by_m`, given the Smith
     diagonal of I - A^t."""
     cert = MultiplicationCertificate(g, m, True)
     if 0 not in diagonal:
         for v in g.vertices:
-            cert.k0_witnesses[v.id] = _closed_form_witness(g, v, m)
+            cert.k0_witnesses[v.id] = _power_sum(g, {v: 1}, range(1 - m, 0))
         return cert
-    phi = connectivity_matrix(g)
-    snf = smith_normal_form(phi)
-    b = induced_endomorphism_matrix(g, m)
-    n = len(phi)
-    for idx, vtx in enumerate(g.vertices):
-        y = [b[i][idx] - (m if i == idx else 0) for i in range(n)]
-        x = _solve_integer(snf, y)
+    snf = smith_normal_form(connectivity_matrix(g))
+    for v in g.vertices:
+        x = _solve_integer(snf, _k0_target(g, v, m))
         if x is None:
             cert.ok = False
-            cert.failure = f"K0 class of {vtx.id} is not shifted by a boundary"
+            cert.failure = f"K0 class of {v.id} is not shifted by a boundary"
             return cert
-        cert.k0_witnesses[vtx.id] = x
+        cert.k0_witnesses[v.id] = x
     for x in integer_kernel_basis(snf):
-        if _mat_vec(b, x) != [m * c for c in x]:
+        if not _scales_by_m(g, x, m):
             cert.ok = False
             cert.failure = "K1 basis vector is not scaled by m"
             return cert
@@ -456,8 +455,11 @@ def verify_multiplication_by_m(g: DirectedGraph, m: int) -> MultiplicationCertif
     K0: for each vertex class, (geometric sum - m) applied to it must land in
     the image of I - A^t over the integers; the solution vector is kept.
     K1: the geometric sum must fix-and-scale an integer kernel basis exactly.
+    The geometric sum B = sum_{k<m} (A^t)^k acts by walks along edges: B e_v
+    counts by range the paths of length < m leaving v, and B x pushes the
+    entries of x along those paths.
 
-    With B = sum_{k<m} (A^t)^k, the telescoping identity
+    The telescoping identity
     (I - A^t) sum_{j<k} (A^t)^j = I - (A^t)^k, summed over k = 1..m-1, gives
     B - mI = -(I - A^t) sum_{j=0}^{m-2} (m-1-j) (A^t)^j.  So on every graph
     x_v = -sum_{j=0}^{m-2} (m-1-j) (A^t)^j e_v solves (I - A^t) x = (B - m) e_v.

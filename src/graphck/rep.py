@@ -66,9 +66,6 @@ class RepOperator:
                            max(self.creations, other.creations),
                            max(self.star_creations, other.star_creations))
 
-    def scale(self, c) -> "RepOperator":
-        return RepOperator(self.matrix.scale(c), self.creations, self.star_creations)
-
     def star(self) -> "RepOperator":
         return RepOperator(self.matrix.star(), self.star_creations, self.creations)
 

@@ -68,15 +68,6 @@ class RatMatrix:
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        if not c:
-            return RatMatrix(self.nrows, self.ncols)
-        out = RatMatrix(self.nrows, self.ncols)
-        for i, row in self.rows.items():
-            out.rows[i] = {j: c * v for j, v in row.items()}
-        return out
-
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         self._mul_check(other)
         out = RatMatrix(self.nrows, other.ncols)

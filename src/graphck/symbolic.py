@@ -99,8 +99,8 @@ class FormalSum:
                     self.terms[w] = c
 
     @staticmethod
-    def of(graph: DirectedGraph, word: Word, coeff=1) -> "FormalSum":
-        return FormalSum(graph, {word: coeff})
+    def of(graph: DirectedGraph, word: Word) -> "FormalSum":
+        return FormalSum(graph, {word: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,10 +121,6 @@ class FormalSum:
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-other)
-
-    def scale(self, c) -> "FormalSum":
-        c = Fraction(c)
-        return FormalSum(self.graph, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other: "FormalSum") -> "FormalSum":
         self._require_same(other)

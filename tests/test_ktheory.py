@@ -7,6 +7,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -93,21 +94,46 @@ def test_graph_k_theory_refuses_capped_tails():
         G.graph_k_theory(capped)
 
 
+def _geometric_sum(g: G.DirectedGraph, x: list[int], m: int) -> list[int]:
+    """B x for B = sum_{j<m} (A^t)^j, by the walker."""
+    return ktheory._power_sum(g, {v: c for v, c in zip(g.vertices, x) if c}, [1] * m)
+
+
 def test_induced_endomorphism_examples():
-    assert G.induced_endomorphism_matrix(three_loop(), 2) == [[4]]
-    assert G.induced_endomorphism_matrix(two_loop(), 3) == [[7]]
+    assert _geometric_sum(three_loop(), [1], 2) == [4]
+    assert _geometric_sum(two_loop(), [1], 3) == [7]
+    assert _geometric_sum(two_loop(), [-2], 3) == [-14]
     g = two_vertex_pi()
-    assert G.induced_endomorphism_matrix(g, 1) == [[1, 0], [0, 1]]
+    assert [_geometric_sum(g, x, 1) for x in ([1, 0], [0, 1])] == [[1, 0], [0, 1]]
+    # v has two loops and the bridge to w, w two loops: from v, 1 + 2 + 4
+    # paths of length < 3 end at v and 0 + 1 + 4 at w
+    assert _geometric_sum(g, [1, 0], 3) == [1 + 2 + 4, 0 + 1 + 4]
+    assert _geometric_sum(g, [0, 1], 3) == [0, 1 + 2 + 4]
+    assert ktheory._power_sum(g, {g.vertex("v"): 1}, [5, 0, -1]) == [5 - 4, -4]
 
 
 def test_induced_endomorphism_columns_count_paths(rng):
-    for _ in range(40):
+    """B's columns are the path counts of `vertex_range_counts`, B acts
+    linearly on integer vectors, and fixes-and-scales the kernel of I - A^t."""
+    loops = multi = kernel = 0
+    for _ in range(60):
         g = random_graph(rng, max_vertices=5, max_edges=8)
-        for m in (1, 2, 3):
-            b = G.induced_endomorphism_matrix(g, m)
-            for j, v in enumerate(g.vertices):
-                col = [b[i][j] for i in range(len(g.vertices))]
-                assert col == vertex_range_counts(g, v, m)
+        n = len(g.vertices)
+        pairs = [(e.source, e.range) for e in g.edges]
+        loops += any(s == r for s, r in pairs)
+        multi += len(set(pairs)) < len(pairs)
+        basis = ktheory.integer_kernel_basis(smith_normal_form(connectivity_matrix(g)))
+        kernel += bool(basis)
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        for m in (1, 2, 3, 4, 5):
+            cols = [vertex_range_counts(g, v, m) for v in g.vertices]
+            for j, col in enumerate(cols):
+                assert _geometric_sum(g, [int(i == j) for i in range(n)], m) == col
+            assert _geometric_sum(g, x, m) == [sum(c * col[i] for c, col in zip(x, cols))
+                                               for i in range(n)]
+            for y in basis:
+                assert _geometric_sum(g, y, m) == [m * c for c in y]
+    assert min(loops, multi, kernel) >= 10, (loops, multi, kernel)
 
 
 def test_verify_multiplication_examples():
@@ -126,6 +152,67 @@ def test_verify_multiplication_random_suite(rng):
         for m in (1, 2, 3, 4, 5):
             cert = G.verify_multiplication_by_m(g, m)
             assert cert.ok and cert.reverify(), (g, m, cert.failure)
+
+
+def _chain_with_kernel() -> G.DirectedGraph:
+    """A loop at a feeding a 2-cycle b <-> c, which feeds a loop at d: K1 has
+    rank one, spanned by e_d, and no column of I - A^t but d's is zero."""
+    return G.DirectedGraph.build(
+        ["a", "b", "c", "d"],
+        [("l", "a", "a"), ("x", "a", "b"), ("p", "b", "c"), ("q", "c", "b"),
+         ("y", "c", "d"), ("r", "d", "d")])
+
+
+def test_reverify_rejects_tampered_certificates():
+    """Each graph's first column of I - A^t is nonzero and some vertex sends
+    two edges, so moving a witness entry or a kernel vector by e_0, or
+    changing m, breaks an equation that `reverify` checks."""
+    with_kernel = 0
+    for g in (two_vertex_pi(), u_graph(), three_loop(), dumbbell(), _chain_with_kernel()):
+        for m in (2, 3, 5):
+            cert = G.verify_multiplication_by_m(g, m)
+            assert cert.ok and cert.reverify()
+            for vid in cert.k0_witnesses:
+                witnesses = {k: list(x) for k, x in cert.k0_witnesses.items()}
+                witnesses[vid][0] += 1
+                assert not replace(cert, k0_witnesses=witnesses).reverify(), (g, m, vid)
+            for i in range(len(cert.k1_basis)):
+                basis = [list(x) for x in cert.k1_basis]
+                basis[i][0] += 1
+                assert not replace(cert, k1_basis=basis).reverify(), (g, m, i)
+                with_kernel += 1
+            assert not replace(cert, m=m + 1).reverify(), (g, m)
+            assert not replace(cert, m=m - 1).reverify(), (g, m)
+            with pytest.raises(ContractViolation, match="m must be positive"):
+                replace(cert, m=0).reverify()
+    assert with_kernel == 6
+
+
+def test_reverify_requires_one_witness_per_vertex():
+    assert not ktheory.MultiplicationCertificate(three_loop(), 3, True).reverify()
+    for g in (two_vertex_pi(), three_loop(), dumbbell(), _chain_with_kernel()):
+        cert = G.verify_multiplication_by_m(g, 3)
+        assert cert.reverify()
+        for vid in cert.k0_witnesses:
+            partial = {k: x for k, x in cert.k0_witnesses.items() if k != vid}
+            assert not replace(cert, k0_witnesses=partial).reverify(), (g, vid)
+        stranger = dict(cert.k0_witnesses, zz=[0] * len(g.vertices))
+        assert not replace(cert, k0_witnesses=stranger).reverify(), g
+
+
+def test_reverify_rejects_vectors_of_the_wrong_length():
+    """A witness or kernel vector one entry too long or too short is refused,
+    though the equations read only its first n entries."""
+    for g in (two_vertex_pi(), dumbbell(), _chain_with_kernel()):
+        cert = G.verify_multiplication_by_m(g, 3)
+        for vid, x in cert.k0_witnesses.items():
+            for y in (x + [0], x[:-1]):
+                witnesses = dict(cert.k0_witnesses, **{vid: y})
+                assert not replace(cert, k0_witnesses=witnesses).reverify(), (g, vid)
+        for i, x in enumerate(cert.k1_basis):
+            for y in (x + [0], x[:-1]):
+                basis = [y if j == i else z for j, z in enumerate(cert.k1_basis)]
+                assert not replace(cert, k1_basis=basis).reverify(), (g, i)
 
 
 def test_subquotient_examples():
@@ -277,28 +364,28 @@ def test_smith_diagonal_matches_the_smith_form_on_graphs():
 
 
 def test_closed_form_witnesses_are_the_solver_witnesses():
-    """Where K1 = 0, each certificate's K0 witness is the U/V solver's."""
+    """Where K1 = 0, each certificate's K0 witness is the U/V solver's
+    solution for (B - m) e_v, with B's column counted by path enumeration."""
     checked = 0
     for g in _differential_graphs(70117):
         snf = smith_normal_form(connectivity_matrix(g))
         if 0 in snf.diagonal:
             continue
-        n = len(g.vertices)
         for m in (1, 2, 3, 5):
-            b = G.induced_endomorphism_matrix(g, m)
             cert = G.verify_multiplication_by_m(g, m)
             assert cert.ok and cert.reverify() and cert.k1_basis == []
             for idx, v in enumerate(g.vertices):
-                y = [b[i][idx] - (m if i == idx else 0) for i in range(n)]
+                y = vertex_range_counts(g, v, m)
+                y[idx] -= m
                 assert cert.k0_witnesses[v.id] == ktheory._solve_integer(snf, y)
                 checked += 1
     assert checked > 6000, checked
 
 
 def test_ktheory_verify_m_factors_once(tmp_path, monkeypatch):
-    """One `ktheory --verify-m` command computes the Smith diagonal once, and
-    solves through U and V only where K1 > 0."""
-    calls = {"diagonal": 0, "solve": 0}
+    """One `ktheory --verify-m` command computes the Smith diagonal once,
+    solves through U and V only where K1 > 0, and multiplies no matrices."""
+    calls = {"diagonal": 0, "solve": 0, "product": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -309,15 +396,16 @@ def test_ktheory_verify_m_factors_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ktheory, "_sparse_smith_diagonal",
                         counted("diagonal", ktheory._sparse_smith_diagonal))
     monkeypatch.setattr(ktheory, "_solve_integer", counted("solve", ktheory._solve_integer))
+    monkeypatch.setattr(ktheory, "_mat_mul", counted("product", ktheory._mat_mul))
     for g, k1, solves in ((two_vertex_pi(), 0, 0), (single_loop(), 1, 1), (dumbbell(), 1, 2)):
         path = tmp_path / "g.g"
         path.write_text(G.emit_graph(g))
-        calls.update(diagonal=0, solve=0)
+        calls.update(diagonal=0, solve=0, product=0)
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(["ktheory", "--verify-m", "3", "--json", str(path)]) == 0
         result = json.loads(out.getvalue())["result"]
         assert result["k1"]["rank"] == k1 and result["verifications"][0]["pass"]
-        assert calls == {"diagonal": 1, "solve": solves}
+        assert calls == {"diagonal": 1, "solve": solves, "product": 0}
 
 
 def _component_graph(rng: random.Random, n_comp: int) -> G.DirectedGraph:
