@@ -103,6 +103,19 @@ class Path:
     def __mul__(self, other: "Path") -> "Path":
         return self.concat(other)
 
+    def extend(self, e: Edge) -> "Path":
+        """self followed by the edge e.  Only the new junction is checked: the
+        junctions of self were checked when it was built."""
+        end = self.range
+        if end is not e.source and end != e.source:
+            raise ContractViolation(
+                f"paths do not compose: r={end.id} vs s={e.source.id}")
+        out = Path.__new__(Path)
+        out.edges = self.edges + (e,)
+        out.base = None
+        out._hash = hash((out.edges, None))
+        return out
+
     def suffix_from(self, k: int) -> "Path":
         """The path made of edges k, k+1, ... (empty at range if k == len)."""
         return Path(self.edges[k:]) if k < len(self.edges) else Path.at(self.range)

@@ -383,8 +383,15 @@ class MultiplicationCertificate:
 
     def reverify(self) -> bool:
         """Re-check every stored witness from scratch; False for a failed
-        certificate, and for one without exactly one K0 witness per vertex or
-        with a vector of the wrong length."""
+        certificate, and for one without exactly one K0 witness per vertex,
+        with a vector of the wrong length, or with a K1 basis that does not
+        span the integer kernel of I - A^t.
+
+        The basis spans the kernel iff it has the kernel's rank, the number of
+        zeros on the Smith diagonal of I - A^t, and the n x k matrix of its
+        vectors has only units on its Smith diagonal: then the vectors are
+        independent and span a saturated lattice, and a saturated sublattice
+        of the kernel with the kernel's rank is the whole kernel."""
         if self.m < 1:
             raise ContractViolation("m must be positive")
         g = self.graph
@@ -396,6 +403,12 @@ class MultiplicationCertificate:
 
         if (self.k0_witnesses.keys() != {v.id for v in g.vertices}
                 or any(len(x) != n for x in [*self.k0_witnesses.values(), *self.k1_basis])):
+            return False
+        k = len(self.k1_basis)
+        if _sparse_smith_diagonal([dict(row) for row in phi], n).count(0) != k:
+            return False
+        basis_rows = [{i: x[j] for i, x in enumerate(self.k1_basis) if x[j]} for j in range(n)]
+        if any(d != 1 and d != -1 for d in _sparse_smith_diagonal(basis_rows, k)):
             return False
         for v in g.vertices:
             if phi_times(self.k0_witnesses[v.id]) != _k0_target(g, v, self.m):

@@ -1,15 +1,17 @@
-"""Second routes for the graph, blow-up and K-theory invariants.
+"""Second routes for the graph, blow-up, symbolic and K-theory invariants.
 
 The library decides each quantity one way: first-return counts and Condition
 (K) from strongly connected components, the ideal lattice from the
 component condensation, the blow-up embedding and inclusion from labeled
-walks, invariant factors by Smith normal form, the geometric sum of powers
-of A^t by walks along out-edges, and I - A^t from each vertex's in-edges.
+walks, products of formal sums from the pairs of words that share an inner
+key, invariant factors by Smith normal form, the geometric sum of powers of
+A^t by walks along out-edges, and I - A^t from each vertex's in-edges.
 These are the independent routes the tests compare against -- brute-force
 first returns, fixed-point closure, block recursion and products of edge
-images, minor gcds, path enumeration, the adjacency matrix -- kept out of the
-library because nothing but the tests runs them.  `add_tails` builds the
-capped stand-in for a graph with sinks that K-theory must refuse.
+images, products over every pair of words, minor gcds, path enumeration, the
+adjacency matrix -- kept out of the library because nothing but the tests
+runs them.  `add_tails` builds the capped stand-in for a graph with sinks
+that K-theory must refuse.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from graphck.graphs import (DirectedGraph, Edge, Path, Vertex, _as_vertex_set, p
                             sinks)
 from graphck.ktheory import (IntMatrix, KTheoryResult, _det, connectivity_matrix,
                              smith_normal_form)
-from graphck.symbolic import FormalSum, Word
+from graphck.symbolic import FormalSum, Word, _word_product
 
 
 def path_vertices(p: Path) -> list[Vertex]:
@@ -39,6 +41,21 @@ def path_vertices(p: Path) -> list[Vertex]:
 def path_isometry(g: DirectedGraph, p: Path) -> FormalSum:
     """s_p = product of the edge generators along p."""
     return FormalSum.of(g, Word(p, Path.at(p.range)))
+
+
+def product_over_all_pairs(a: FormalSum, b: FormalSum) -> FormalSum:
+    """a * b, for sums whose words are all tensored or all untensored, by the
+    nested loop over every pair of words in the order of a's terms, then
+    b's; `FormalSum.__mul__` visits only the pairs whose inner legs share a
+    key."""
+    a._require_same(b)
+    out: dict[Word, Fraction] = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            w = _word_product(wa, wb)
+            if w is not None:
+                out[w] = out[w] + ca * cb if w in out else ca * cb
+    return FormalSum(a.graph, out)
 
 
 def path_prefix(p: Path, k: int) -> Path:

@@ -102,6 +102,26 @@ def test_duplicate_vertex_id_rejected():
         G.DirectedGraph([G.Vertex("a"), G.Vertex("a")], [])
 
 
+def test_path_extend_is_concatenation_with_one_edge(rng):
+    """p.extend(e) equals p * Path((e,)) with the hash of the path built from
+    scratch, and refuses an edge that does not leave p's range."""
+    refused = 0
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=4, max_edges=8)
+        for p in G.paths(g, 0, 3):
+            for e in g.edges:
+                if e.source == p.range:
+                    q = p.extend(e)
+                    built = G.Path(p.edges + (e,))
+                    assert q == p * G.Path((e,)) == built and hash(q) == hash(built)
+                    assert (q.source, q.range, q.id) == (p.source, e.range, built.id)
+                else:
+                    with pytest.raises(ContractViolation, match="do not compose"):
+                        p.extend(e)
+                    refused += 1
+    assert refused > 100
+
+
 def test_paths_bad_range():
     with pytest.raises(ContractViolation):
         G.paths(two_loop(), 3, 2)

@@ -215,6 +215,35 @@ def test_reverify_rejects_vectors_of_the_wrong_length():
                 assert not replace(cert, k1_basis=basis).reverify(), (g, i)
 
 
+def test_reverify_requires_a_basis_of_the_kernel():
+    """Every vector below lies in ker(I - A^t) and is scaled by m, but a K1
+    basis must also span that kernel over the integers: too few vectors, a
+    repeated vector, a multiple of a basis vector or a basis of an index-2
+    sublattice is refused, and a unimodular change of basis is accepted."""
+    two_loops = G.DirectedGraph.build(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
+    for g in (dumbbell(), _chain_with_kernel(), single_loop(), two_loops):
+        for m in (2, 3):
+            cert = G.verify_multiplication_by_m(g, m)
+            basis = cert.k1_basis
+            assert cert.reverify() and basis, (g, m)
+            doubled = [[2 * c for c in basis[0]]] + basis[1:]
+            negated = [[-c for c in basis[0]]] + basis[1:]
+            for wrong in ([], basis[1:], basis + [basis[0]], doubled):
+                assert not replace(cert, k1_basis=wrong).reverify(), (g, m, wrong)
+            assert replace(cert, k1_basis=negated).reverify(), (g, m)
+    cert = G.verify_multiplication_by_m(two_loops, 3)
+    x, y = cert.k1_basis
+    plus = [a + b for a, b in zip(x, y)]
+    minus = [a - b for a, b in zip(x, y)]
+    assert replace(cert, k1_basis=[plus, y]).reverify()
+    assert not replace(cert, k1_basis=[x, x]).reverify()
+    assert not replace(cert, k1_basis=[plus, minus]).reverify()
+    for g in (three_loop(), two_vertex_pi()):
+        cert = G.verify_multiplication_by_m(g, 3)
+        assert cert.reverify() and not cert.k1_basis
+        assert not replace(cert, k1_basis=[[0] * len(g.vertices)]).reverify(), g
+
+
 def test_subquotient_examples():
     g = two_vertex_pi()
     for m in (2, 3):
@@ -383,9 +412,12 @@ def test_closed_form_witnesses_are_the_solver_witnesses():
 
 
 def test_ktheory_verify_m_factors_once(tmp_path, monkeypatch):
-    """One `ktheory --verify-m` command computes the Smith diagonal once,
-    solves through U and V only where K1 > 0, and multiplies no matrices."""
-    calls = {"diagonal": 0, "solve": 0, "product": 0}
+    """One `ktheory --verify-m` command computes the Smith diagonal of I - A^t
+    once for its K-groups, solves through U and V only where K1 > 0, and
+    multiplies no matrices.  `reverify` re-checks from scratch: it takes the
+    diagonal of I - A^t again for the kernel rank, and that of the n x k
+    kernel basis."""
+    calls = {"diagonal": [], "solve": 0, "product": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -393,19 +425,24 @@ def test_ktheory_verify_m_factors_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ktheory, "_sparse_smith_diagonal",
-                        counted("diagonal", ktheory._sparse_smith_diagonal))
+    def diagonal(rows, size):
+        calls["diagonal"].append((len(rows), size))
+        return sparse_diagonal(rows, size)
+
+    sparse_diagonal = ktheory._sparse_smith_diagonal
+    monkeypatch.setattr(ktheory, "_sparse_smith_diagonal", diagonal)
     monkeypatch.setattr(ktheory, "_solve_integer", counted("solve", ktheory._solve_integer))
     monkeypatch.setattr(ktheory, "_mat_mul", counted("product", ktheory._mat_mul))
     for g, k1, solves in ((two_vertex_pi(), 0, 0), (single_loop(), 1, 1), (dumbbell(), 1, 2)):
         path = tmp_path / "g.g"
         path.write_text(G.emit_graph(g))
-        calls.update(diagonal=0, solve=0, product=0)
+        calls.update(diagonal=[], solve=0, product=0)
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(["ktheory", "--verify-m", "3", "--json", str(path)]) == 0
         result = json.loads(out.getvalue())["result"]
         assert result["k1"]["rank"] == k1 and result["verifications"][0]["pass"]
-        assert calls == {"diagonal": 1, "solve": solves, "product": 0}
+        n = len(g.vertices)
+        assert calls == {"diagonal": [(n, n), (n, n), (n, k1)], "solve": solves, "product": 0}
 
 
 def _component_graph(rng: random.Random, n_comp: int) -> G.DirectedGraph:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import graphck as G
+from graphck import symbolic
 from graphck.errors import ContractViolation
 from graphck.graphs import Path, paths
 from graphck.symbolic import (AlgebraMode, FormalSum, Word, edge_isometry,
@@ -16,7 +17,7 @@ from graphck.symbolic import (AlgebraMode, FormalSum, Word, edge_isometry,
 
 from conftest import (SINK_FREE_CORPUS, mixed_m, random_graph, two_cycle,
                       two_loop, two_vertex_pi, u_graph)
-from oracles import path_isometry, path_vertices
+from oracles import path_isometry, path_vertices, product_over_all_pairs
 
 CK = AlgebraMode.CUNTZ_KRIEGER
 TOEPLITZ = AlgebraMode.TOEPLITZ
@@ -46,6 +47,54 @@ def test_multiply_adjoint_and_degree():
     w = next(iter(a.terms))
     assert w.degree == 1 and w.star().degree == -1
     assert (a.star() * a).terms == vertex_projection(g, g.vertex("w")).terms
+
+
+def test_indexed_products_match_the_all_pairs_oracle():
+    """Seeded rational sums of untensored and tensored words, on graphs with
+    and without sinks, with legs of length 0-2 at several sources: the
+    indexed product has the terms of the product over every pair of words,
+    with the same values in the same insertion order."""
+    rng = random.Random(18031)
+    nonzero = {False: 0, True: 0}
+    empty_legs_at_several_sources = 0
+    for k in range(150):
+        g = random_graph(rng, max_vertices=4, max_edges=6, no_sinks=k % 2 == 0)
+        legs = paths(g, 0, 2)
+        words = [Word(a, b) for a in legs for b in legs if a.range == b.range]
+        indices = legs[:3]
+        tensored = [Word(w.alpha, w.beta, (rng.choice(indices), rng.choice(indices)))
+                    for w in words]
+        for pool in (words, tensored):
+            def rand_sum():
+                return FormalSum(g, {rng.choice(pool): Fraction(rng.randint(-3, 3),
+                                                                rng.randint(1, 3))
+                                     for _ in range(rng.randint(0, 8))})
+
+            a, b = rand_sum(), rand_sum()
+            got = list((a * b).terms.items())
+            assert got == list(product_over_all_pairs(a, b).terms.items()), (a, b)
+            nonzero[pool is tensored] += bool(got)
+            empty_legs_at_several_sources += len(
+                {w.beta.source for w in a.terms if not w.beta.edges}) > 1
+    assert min(nonzero.values()) > 60, nonzero
+    assert empty_legs_at_several_sources > 30, empty_legs_at_several_sources
+
+
+def test_mixed_products_are_refused():
+    """A tensored sum times an untensored one is refused in either order, also
+    when no pair of words shares a source, and when only some words of a sum
+    are tensored; a zero factor has no word to refuse."""
+    g = two_cycle()
+    v, w = g.vertex("v"), g.vertex("w")
+    at_v, at_w = Path.at(v), Path.at(w)
+    plain = vertex_projection(g, v)
+    tensored = FormalSum.of(g, Word(at_w, at_w, (at_v, at_v)))
+    mixed = plain + FormalSum.of(g, Word(at_v, at_v, (at_v, at_v)))
+    for x, y in ((plain, tensored), (tensored, plain), (mixed, plain), (plain, mixed),
+                 (mixed, tensored), (mixed, mixed)):
+        with pytest.raises(ContractViolation, match="tensored with untensored"):
+            x * y
+    assert (FormalSum(g) * mixed).is_zero() and (mixed * FormalSum(g)).is_zero()
 
 
 def test_word_requires_matching_ranges():
@@ -330,6 +379,80 @@ def test_planted_jm_failures_name_the_first_relation():
         plant(q, t)
         check = G.verify_tck_family(em, q, t, CK)
         assert (check.ok, check.failed_relation) == (False, name)
+
+
+def test_family_checks_grow_linearly(monkeypatch):
+    """A passing family costs a bounded number of products per generator:
+    on the two-loop graph's blow-ups at m = 3..6 the jm check makes at most
+    2 (|V| + |E|) `FormalSum` products, where the pairwise relations alone
+    would make |V| (|V| - 1) / 2, and the iota check at m = 6 at most 8000
+    word products."""
+    calls = {"sums": 0, "words": 0}
+    product, word_product = FormalSum.__mul__, symbolic._word_product
+
+    def counted_product(a, b):
+        calls["sums"] += 1
+        return product(a, b)
+
+    def counted_word_product(a, b):
+        calls["words"] += 1
+        return word_product(a, b)
+
+    monkeypatch.setattr(FormalSum, "__mul__", counted_product)
+    monkeypatch.setattr(symbolic, "_word_product", counted_word_product)
+    g = two_loop()
+    for m in (3, 4, 5, 6):
+        bg = G.blowup_graph(g, m)
+        em = bg.graph
+        q, t = _jm_family(bg)
+        calls.update(sums=0)
+        assert G.verify_tck_family(em, q, t, CK)
+        size = len(em.vertices) + len(em.edges)
+        assert calls["sums"] <= 2 * size, (m, calls, size)
+    # 63 vertices: 1953 pairs of vertex images
+    assert calls["sums"] <= 400
+    q, t = _iota_family(bg)
+    calls.update(words=0)
+    assert G.verify_tck_family(g, q, t, TOEPLITZ)
+    assert calls["words"] <= 8000, calls
+
+
+def test_idempotent_vertex_images_must_be_selfadjoint():
+    """Idempotents that are not selfadjoint fail as vertex images, named by
+    selfadjoint(v): theta_{x,x} + theta_{x,y} for one vertex x of the jm
+    family, and p_v + s_a over the 2-cycle v -a-> w -b-> v as the image of an
+    isolated vertex, where every other relation holds."""
+    bg = G.blowup_graph(two_loop(), 3)
+    em = bg.graph
+    x, y = em.vertices[3], em.vertices[4]
+    at = Path.at(bg.base.vertex("v"))
+    q, t = _jm_family(bg)
+    q[x] = q[x] + FormalSum.of(bg.base, Word(at, at, (bg.path_of_vertex(x),
+                                                     bg.path_of_vertex(y))))
+    assert G.normal_form(q[x] * q[x] - q[x], CK).is_zero()
+    check = G.verify_tck_family(em, q, t, CK)
+    assert (check.ok, check.failed_relation) == (False, f"selfadjoint({x.id})")
+
+    target = two_cycle()
+    idempotent = (vertex_projection(target, target.vertex("v"))
+                  + edge_isometry(target, target.edge("a")))
+    assert (idempotent * idempotent).terms == idempotent.terms
+    isolated = G.DirectedGraph.build(["x"], [])
+    for mode in (TOEPLITZ, CK):
+        check = G.verify_tck_family(isolated, {isolated.vertex("x"): idempotent}, {}, mode)
+        assert (check.ok, check.failed_relation) == (False, "selfadjoint(x)")
+
+
+def test_vertex_images_must_each_be_projections():
+    """2 p_v and -p_v sum to the projection p_v, but neither is one: as the
+    images of two isolated vertices they fail projection(x)."""
+    g = two_loop()
+    pv = vertex_projection(g, g.vertex("v"))
+    isolated = G.DirectedGraph.build(["x", "y"], [])
+    images = {isolated.vertex("x"): pv + pv, isolated.vertex("y"): -pv}
+    for mode in (TOEPLITZ, CK):
+        check = G.verify_tck_family(isolated, images, {}, mode)
+        assert (check.ok, check.failed_relation) == (False, "projection(x)")
 
 
 # sha256 of (ok, failed_relation) for seeded perturbed families, see
