@@ -38,17 +38,20 @@ class BlowupGraph:
         self.base = base
         self.m = m
 
-        def path_token(p: Path) -> str:
-            return p.base.id if not p.edges else "_".join(e.id for e in p.edges)
-
         # vertex i is tree path i; (e, p) starts at e p while that is shorter than m
         tree = self.tree = PathTree(base, depth=m - 1)
+        # a path's token is its vertex id, or its edge ids joined by "_"
+        tokens: list[str] = []
+        for j, e, v in zip(tree.parent, tree.edge, tree.source):
+            tokens.append(v.id if e is None else e.id if tree.edge[j] is None
+                          else tokens[j] + "_" + e.id)
         vertex_ids: set[str] = set()
-        vs = [Vertex(_fresh(vertex_ids, path_token(p))) for p in tree.paths]
+        vs = [Vertex(_fresh(vertex_ids, t)) for t in tokens]
         edge_ids: set[str] = set()
         # _into[i][e]: the edge of the pair (e, path i) and the index of its source
         self._into: list[dict[Edge, tuple[Edge, int]]] = [{} for _ in vs]
-        self._pair_of_edge: dict[Edge, tuple[Edge, Path]] = {}
+        # _pair_of_edge[edge]: its pair (e, p), with p as a tree index
+        self._pair_of_edge: dict[Edge, tuple[Edge, int]] = {}
         for e in base.edges:
             longer = tree.prefix_map(Path((e,)))
             top = tree.from_vertex[e.source][0]
@@ -56,7 +59,7 @@ class BlowupGraph:
                 j = longer.get(i, top)
                 new = Edge(_fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[j], vs[i])
                 self._into[i][e] = (new, j)
-                self._pair_of_edge[new] = (e, tree.paths[i])
+                self._pair_of_edge[new] = (e, i)
         self.graph = DirectedGraph(vs, self._pair_of_edge)
 
     def vertex_of_path(self, p: Path) -> Vertex:
@@ -68,13 +71,13 @@ class BlowupGraph:
     def path_of_vertex(self, v: Vertex) -> Path:
         if not self.graph.has_vertex(v):
             raise ContractViolation(f"vertex {v.id} is not a vertex of the blow-up")
-        return self.tree.paths[self.graph.vertex_index(v)]
+        return self.tree.path(self.graph.vertex_index(v))
 
     def pair_of_edge(self, edge: Edge) -> tuple[Edge, Path]:
         pair = self._pair_of_edge.get(edge)
         if pair is None:
             raise ContractViolation(f"edge {edge.id} is not an edge of the blow-up")
-        return pair
+        return pair[0], self.tree.path(pair[1])
 
     def walk_into(self, mu: Path, v: Vertex) -> Path:
         """The blow-up path into v whose edges carry the edges of mu.
@@ -89,7 +92,7 @@ class BlowupGraph:
         edges of mu.
         """
         i = self.graph.vertex_index(v) if self.graph.has_vertex(v) else None
-        if i is None or self.tree.paths[i].source != mu.range:
+        if i is None or self.tree.source[i] != mu.range:
             raise ContractViolation(f"no blow-up walk carrying {mu.id} ends at {v.id}")
         walk = []
         for e in reversed(mu.edges):

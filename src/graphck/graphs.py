@@ -1,7 +1,8 @@
 """Finite directed multigraphs, path combinatorics and vertex-set machinery.
 
 Graphs and paths are immutable values and the functions are pure; only a
-`PathTree` grows, and it is the one place that enumerates paths.  Vertices
+`PathTree` grows, and it is the one place that enumerates paths.  It holds
+them as index arrays and builds a `Path` only when one is read.  Vertices
 and edges keep their insertion order, and paths are ordered by length and
 then left-to-right by edge insertion index, so every matrix and report built
 downstream is byte-stable.
@@ -9,7 +10,7 @@ downstream is byte-stable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -43,8 +44,9 @@ class Edge:
 class Path:
     """A composable edge sequence; an empty path stores its base vertex.
 
-    Hash and endpoints are cached: paths are used as dictionary keys
-    throughout the symbolic and representation layers.
+    The hash is cached and folded from the prefix's hash, so a one-edge
+    extension hashes in O(1): paths are used as dictionary keys throughout
+    the symbolic and representation layers.
     """
 
     __slots__ = ("edges", "base", "_hash")
@@ -62,9 +64,13 @@ class Path:
                     )
         elif base is None:
             raise ContractViolation("empty path needs a base vertex")
+        # the hash folds one edge at a time from the source's, as `_grown` does
+        h = hash(edges[0].source if edges else base)
+        for e in edges:
+            h = hash((h, e.id))
         self.edges = edges
         self.base = base
-        self._hash = hash((edges, base))
+        self._hash = h
 
     def __hash__(self) -> int:
         return self._hash
@@ -110,10 +116,14 @@ class Path:
         if end is not e.source and end != e.source:
             raise ContractViolation(
                 f"paths do not compose: r={end.id} vs s={e.source.id}")
+        return self._grown(e)
+
+    def _grown(self, e: Edge) -> "Path":
+        """self followed by e, which the caller knows composes."""
         out = Path.__new__(Path)
         out.edges = self.edges + (e,)
         out.base = None
-        out._hash = hash((out.edges, None))
+        out._hash = hash((self._hash, e.id))
         return out
 
     def suffix_from(self, k: int) -> "Path":
@@ -207,38 +217,77 @@ class DirectedGraph:
 class PathTree:
     """The paths from root vertices (by default all), grown one length at a time.
 
-    Layout: the paths of length L, in lex order of edge insertion index, are
-    `paths[offsets[L]:offsets[L + 1]]`.  Path i's one-edge extensions are
-    contiguous from `first_child[i]` (kept for all but the last layer), in
-    `out_edges` order; `parent[i]` is i without its last edge (-1 at a root).
-    `from_vertex[v]` lists the indices of the paths from v, ascending.
+    The tree is kept as flat index arrays; a `Path` object is built only when
+    one is read.  Node i is a path: `parent[i]` is i without its last edge
+    (-1 at a root), `edge[i]` that last edge (None at a root), `source[i]` and
+    `end[i]` its source and range vertex.  The paths of length L, in lex order
+    of edge insertion index, are nodes `offsets[L]` to `offsets[L + 1] - 1`.
+    Node i's one-edge extensions are contiguous from `first_child[i]` (kept
+    for all but the last layer), in `out_edges` order.  `from_vertex[v]`
+    lists the nodes whose path leaves v, ascending.
     """
 
-    __slots__ = ("graph", "paths", "parent", "offsets", "first_child", "from_vertex", "_edge_pos")
+    __slots__ = ("graph", "parent", "edge", "source", "end", "offsets", "first_child",
+                 "from_vertex", "_edge_pos", "_paths")
 
     def __init__(self, g: DirectedGraph, roots: Iterable[Vertex] | None = None, depth: int = 0):
         self.graph = g
-        self.paths = [Path.at(v) for v in (g.vertices if roots is None else roots)]
-        self.parent = [-1] * len(self.paths)
-        self.offsets = [0, len(self.paths)]
+        roots = list(g.vertices if roots is None else roots)
+        self.parent = [-1] * len(roots)
+        self.edge: list[Edge | None] = [None] * len(roots)
+        self.source: list[Vertex] = roots
+        self.end: list[Vertex] = roots[:]
+        self.offsets = [0, len(roots)]
         self.first_child: list[int] = []
         self.from_vertex: dict[Vertex, list[int]] = {v: [] for v in g.vertices}
-        self.from_vertex.update((p.base, [i]) for i, p in enumerate(self.paths))
+        self.from_vertex.update((v, [i]) for i, v in enumerate(roots))
         self._edge_pos = {e: k for v in g.vertices for k, e in enumerate(g.out_edges(v))}
+        self._paths = [Path.at(v) for v in roots]  # the built prefix of `paths`
         for _ in range(depth):
             self.grow()
 
     def grow(self) -> None:
         """Append the layer of one-edge extensions of the last layer."""
-        paths = self.paths
+        out, parent, edge, source, end = (self.graph._out, self.parent, self.edge,
+                                          self.source, self.end)
+        first_child, from_vertex = self.first_child, self.from_vertex
         for i in range(self.offsets[-2], self.offsets[-1]):
-            p = paths[i]
-            start = len(paths)
-            self.first_child.append(start)
-            paths.extend(Path(p.edges + (e,)) for e in self.graph.out_edges(p.range))
-            self.parent.extend([i] * (len(paths) - start))
-            self.from_vertex[p.source].extend(range(start, len(paths)))
-        self.offsets.append(len(paths))
+            start = len(parent)
+            first_child.append(start)
+            es = out[end[i]]
+            if es:
+                parent.extend([i] * len(es))
+                edge.extend(es)
+                end.extend([e.range for e in es])
+                source.extend([source[i]] * len(es))
+                from_vertex[source[i]].extend(range(start, start + len(es)))
+        self.offsets.append(len(parent))
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    @property
+    def paths(self) -> list[Path]:
+        """Every node's path, in node order; built on first read, and extended
+        on a later read after the tree has grown."""
+        built, parent, edge = self._paths, self.parent, self.edge
+        for i in range(len(built), len(parent)):
+            built.append(built[parent[i]]._grown(edge[i]))
+        return built
+
+    def path(self, i: int) -> Path:
+        """Node i's path, built from its parent chain."""
+        if 0 <= i < len(self._paths):
+            return self._paths[i]
+        edges = []
+        while self.edge[i] is not None:
+            edges.append(self.edge[i])
+            i = self.parent[i]
+        return Path(tuple(reversed(edges))) if edges else Path.at(self.source[i])
+
+    def length(self, i: int) -> int:
+        """The length of node i's path: the layer that holds it."""
+        return bisect_right(self.offsets, i) - 1
 
     def find(self, p: Path) -> int | None:
         """Index of p, or None when p is not in the tree."""
@@ -259,6 +308,9 @@ class PathTree:
         if up is None:
             return {}
         domain = self.from_vertex[mu.range]
+        if not domain:
+            raise ContractViolation(
+                f"prefix map of {mu.id} needs its range {mu.range.id} to be a root of the tree")
         stop = bisect_left(domain, self.offsets[-1 - len(mu)])
         fc, parent = self.first_child, self.parent
         out = {domain[0]: up}

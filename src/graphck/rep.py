@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -97,13 +98,36 @@ def _injection(n: int, cmap: dict[int, int]) -> RatMatrix:
     return m
 
 
+class _BasisIndex(Mapping):
+    """Read-only view path -> basis index, answered by the tree's `find`;
+    iterates the basis in order."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: PathTree):
+        self._tree = tree
+
+    def __getitem__(self, p: Path) -> int:
+        i = self._tree.find(p) if isinstance(p, Path) else None
+        if i is None:
+            raise KeyError(p)
+        return i
+
+    def __iter__(self):
+        return iter(self._tree.paths)
+
+    def __len__(self) -> int:
+        return len(self._tree)
+
+
 class TruncatedRep:
     """Concrete generators on the span of paths of length at most N.
 
     The basis is a `PathTree` grown to length N, so it is sorted by length:
     `offsets[L]` is the index of the first path of length L (`offsets[cutoff + 1]`
     is the dimension).  T_mu maps column i(tau) to row i(mu tau), which the
-    tree's `prefix_map` gives by index arithmetic alone.
+    tree's `prefix_map` gives by index arithmetic alone, so no operator needs
+    a basis `Path`: `basis` and `index` are views that build them on demand.
     """
 
     def __init__(self, graph: DirectedGraph, cutoff: int, max_basis: int | None = None):
@@ -116,17 +140,17 @@ class TruncatedRep:
         for length in range(cutoff + 1):
             if length:
                 tree.grow()
-            if len(tree.paths) > bound:
+            if len(tree) > bound:
                 raise ResourceLimit(
-                    f"truncated basis has {len(tree.paths)} paths of length <= {length}, over "
+                    f"truncated basis has {len(tree)} paths of length <= {length}, over "
                     f"the bound {bound}; lower the cutoff or raise {knob}")
-        self.basis: list[Path] = tree.paths
         self.offsets: list[int] = tree.offsets
-        self.index: dict[Path, int] = {p: i for i, p in enumerate(self.basis)}
+        self.dimension = len(tree)
+        self.index: Mapping[Path, int] = _BasisIndex(tree)
 
     @property
-    def dimension(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list[Path]:
+        return self.tree.paths
 
     def t(self, e: Edge) -> RepOperator:
         return self.t_path(Path((e,)))
@@ -188,7 +212,7 @@ def build_rep(g: DirectedGraph, cutoff: int, max_basis: int | None = None) -> Tr
 def _unit(rep: TruncatedRep, mu: Path, nu: Path) -> RatMatrix:
     """e_{mu,nu}, or zero when a leg is not a basis path."""
     m = RatMatrix(rep.dimension, rep.dimension)
-    i, j = rep.index.get(mu), rep.index.get(nu)
+    i, j = rep.tree.find(mu), rep.tree.find(nu)
     if i is not None and j is not None:
         m.rows[i] = {j: 1}
     return m
@@ -275,7 +299,7 @@ def _windowed_sum(rep: TruncatedRep, m: int, shift: int, mu: Path, nu: Path) -> 
     nu_map = rep.tree.prefix_map(nu)
     total = RatMatrix(rep.dimension, rep.dimension)
     for tau, row in mu_map.items():
-        c = weights.get(len(rep.basis[tau]))
+        c = weights.get(rep.tree.length(tau))
         if c and tau in nu_map:
             total.rows[row] = {nu_map[tau]: c}
     return RepOperator(total, max(0, a - b), max(0, b - a))
@@ -294,11 +318,12 @@ def shifted_band_compression(rep: TruncatedRep, m: int, w: Word) -> RepOperator:
 
 def _schur_by_length(rep: TruncatedRep, mat: RatMatrix, m: int, shift: int) -> RatMatrix:
     kappa = kappa_matrix(m)
+    length = rep.tree.length
     out = RatMatrix(rep.dimension, rep.dimension)
     for i, row in mat.rows.items():
-        li = len(rep.basis[i])
+        li = length(i)
         for j, v in row.items():
-            c = kappa.entry0(li - shift, len(rep.basis[j]) - shift)
+            c = kappa.entry0(li - shift, length(j) - shift)
             if c:
                 out.rows.setdefault(i, {})[j] = c * v
     return out

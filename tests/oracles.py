@@ -9,8 +9,8 @@ A^t by walks along out-edges, and I - A^t from each vertex's in-edges.
 These are the independent routes the tests compare against -- brute-force
 first returns, fixed-point closure, block recursion and products of edge
 images, products over every pair of words, minor gcds, path enumeration, the
-adjacency matrix -- kept out of the library because nothing but the tests
-runs them.  `add_tails` builds the capped stand-in for a graph with sinks
+adjacency matrix, a path tree with one `Path` per node -- kept out of the
+library because nothing but the tests runs them.  `add_tails` builds the capped stand-in for a graph with sinks
 that K-theory must refuse.
 """
 
@@ -61,6 +61,22 @@ def product_over_all_pairs(a: FormalSum, b: FormalSum) -> FormalSum:
 def path_prefix(p: Path, k: int) -> Path:
     """The first k edges of p; the empty path at s(p) when k == 0."""
     return Path(p.edges[:k]) if k else Path.at(p.source)
+
+
+def eager_path_tree(g: DirectedGraph, roots: Iterable[Vertex] | None = None,
+                    depth: int = 0) -> tuple[list[Path], list[int], list[int]]:
+    """(paths, parent, offsets) of the path tree, grown with one `Path` per
+    node, each built from its parent's edge tuple and checked in full."""
+    tree = [Path.at(v) for v in (g.vertices if roots is None else roots)]
+    parent = [-1] * len(tree)
+    offsets = [0, len(tree)]
+    for _ in range(depth):
+        for i in range(offsets[-2], offsets[-1]):
+            for e in g.out_edges(tree[i].range):
+                tree.append(Path(tree[i].edges + (e,)))
+                parent.append(i)
+        offsets.append(len(tree))
+    return tree, parent, offsets
 
 
 @dataclass(frozen=True)

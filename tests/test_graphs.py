@@ -16,7 +16,8 @@ from graphck.graphs import (PathTree, cycle_vertices, first_return_counts, is_he
 from graphck.ktheory import connectivity_matrix
 
 from conftest import mixed_m, random_graph, single_edge, single_loop, two_cycle, two_loop
-from oracles import adjacency_matrix, first_return_paths, hereditary_saturated_closure, path_prefix
+from oracles import (adjacency_matrix, eager_path_tree, first_return_paths,
+                     hereditary_saturated_closure, path_prefix)
 
 
 def test_adjacency_two_loops():
@@ -397,6 +398,55 @@ def test_path_tree_layout_find_and_prefix_map(rng):
         stranger = G.DirectedGraph.build(["s"], [("l", "s", "s")])
         assert tree.find(G.Path((stranger.edge("l"),))) is None
         assert tree.prefix_map(G.Path.at(stranger.vertex("s"))) == {}
+
+
+def test_lazy_path_tree_matches_eager_oracle(rng):
+    """The index arrays give the eager tree's paths, whether read node by node,
+    all at once, or again after the tree has grown past an earlier read."""
+    for _ in range(25):
+        g = random_graph(rng, max_vertices=4, max_edges=7)
+        roots = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+        depth = rng.randint(1, 4)
+        want, parent, offsets = eager_path_tree(g, roots, depth)
+        tree = PathTree(g, roots, depth)
+        assert len(tree) == len(want) and tree.parent == parent and tree.offsets == offsets
+        for i, p in enumerate(want):
+            built = tree.path(i)
+            assert built == p and hash(built) == hash(p) and built.id == p.id
+            assert tree.length(i) == len(p)
+            assert (tree.source[i], tree.end[i]) == (p.source, p.range)
+            assert tree.edge[i] == (p.edges[-1] if p.edges else None)
+        assert len(tree._paths) == len(roots)  # path(i) builds no cached path
+        assert tree.paths == want
+
+        grown = PathTree(g, roots)
+        for length in range(depth):
+            assert grown.paths == want[:offsets[length + 1]]
+            grown.grow()
+        assert grown.paths == want
+        assert [grown.path(i) for i in range(len(want))] == want
+        assert [hash(p) for p in grown.paths] == [hash(p) for p in want]
+
+
+def test_path_hash_folds_from_the_prefix(rng):
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=4, max_edges=7)
+        for p in G.paths(g, 0, 4):
+            step = G.Path.at(p.source)
+            for e in p.edges:
+                step = step.extend(e)
+            assert step == p and hash(step) == hash(p)
+            copy = G.Path(p.edges) if p.edges else G.Path.at(p.base)
+            assert hash(copy) == hash(p)
+
+
+def test_prefix_map_refuses_a_range_that_is_not_a_root():
+    g = G.DirectedGraph.build(["v", "w"], [("e", "v", "w"), ("f", "w", "v")])
+    tree = PathTree(g, (g.vertex("v"),), 3)
+    with pytest.raises(ContractViolation, match=r"range w .*root"):
+        tree.prefix_map(G.Path((g.edge("e"),)))
+    ef = G.Path((g.edge("e"), g.edge("f")))
+    assert tree.prefix_map(ef) == {0: 2, 1: 3}  # v -> ef and e -> efe
 
 
 def test_cycle_vertices_against_networkx(rng):

@@ -37,6 +37,40 @@ def test_build_rep_single_edge():
     assert te.matrix.get(ie, iw) == 1 and te.matrix.nnz() == 1
 
 
+def test_operators_build_no_basis_path():
+    """The 0/1 operators and evaluate read only the tree's index arrays: after
+    them the tree still holds no path but its roots."""
+    g = two_loop()
+    e, f = g.edge("e"), g.edge("f")
+    rep = G.build_rep(g, 10)
+    ef, fe = Path((e, f)), Path((f, e))
+    rep.t_path(ef)
+    rep.word_operator(ef, Path((f,)))
+    G.path_projection(rep, ef)
+    G.matrix_unit(rep, ef, fe)
+    G.window_projection(rep, 4)
+    rep.evaluate(FormalSum(g, {Word(ef, fe): Fraction(1, 2), Word(Path((e,)), ef): 3}))
+    assert len(rep.tree._paths) == len(g.vertices)
+
+
+def test_basis_index_is_a_read_only_view(rng):
+    stranger = G.DirectedGraph.build(["s"], [("l", "s", "s")])
+    for _ in range(10):
+        g = random_graph(rng, max_vertices=4, max_edges=7)
+        cutoff = rng.randint(1, 4)
+        rep = G.build_rep(g, cutoff)
+        assert len(rep.index) == rep.dimension == len(rep.basis)
+        assert list(rep.index.items()) == [(p, i) for i, p in enumerate(paths(g, 0, cutoff + 1))]
+        outside = list(paths(g, cutoff + 1, cutoff + 2))[:5] + [
+            Path((stranger.edge("l"),)), Path.at(stranger.vertex("s")), "v"]
+        for p in outside:
+            assert rep.index.get(p) is None and p not in rep.index
+            with pytest.raises(KeyError):
+                rep.index[p]
+        with pytest.raises(TypeError):
+            rep.index[Path.at(g.vertices[0])] = 0
+
+
 @pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
 @pytest.mark.parametrize("shape", sorted(REP_CORPUS))
 def test_direct_operators_match_composed_oracles(shape, cutoff):
