@@ -277,8 +277,6 @@ class PathTree:
 
     def path(self, i: int) -> Path:
         """Node i's path, built from its parent chain."""
-        if 0 <= i < len(self._paths):
-            return self._paths[i]
         edges = []
         while self.edge[i] is not None:
             edges.append(self.edge[i])

@@ -416,6 +416,7 @@ def test_lazy_path_tree_matches_eager_oracle(rng):
             assert tree.length(i) == len(p)
             assert (tree.source[i], tree.end[i]) == (p.source, p.range)
             assert tree.edge[i] == (p.edges[-1] if p.edges else None)
+        assert tree.path(-1) == want[-1]  # counted from the end, like a list
         assert len(tree._paths) == len(roots)  # path(i) builds no cached path
         assert tree.paths == want
 
