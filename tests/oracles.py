@@ -10,8 +10,8 @@ These are the independent routes the tests compare against -- brute-force
 first returns, fixed-point closure, block recursion and products of edge
 images, products over every pair of words, minor gcds, path enumeration, the
 adjacency matrix, a path tree with one `Path` per node -- kept out of the
-library because nothing but the tests runs them.  `add_tails` builds the capped stand-in for a graph with sinks
-that K-theory must refuse.
+library because nothing but the tests runs them.  `add_tails` builds the
+capped stand-in for a graph with sinks that K-theory must refuse.
 """
 
 from __future__ import annotations
