@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .errors import ContractViolation, ResourceLimit
@@ -247,21 +248,42 @@ class PathTree:
             self.grow()
 
     def grow(self) -> None:
-        """Append the layer of one-edge extensions of the last layer."""
+        """Append the layer of one-edge extensions of the last layer.
+
+        A layer is sorted by source (a child keeps its parent's source
+        object), so `source` and `from_vertex` are extended once per run of
+        equal sources; each end vertex's out-edges and their ranges are read
+        once per call."""
         out, parent, edge, source, end = (self.graph._out, self.parent, self.edge,
                                           self.source, self.end)
-        first_child, from_vertex = self.first_child, self.from_vertex
-        for i in range(self.offsets[-2], self.offsets[-1]):
-            start = len(parent)
-            first_child.append(start)
-            es = out[end[i]]
+        first_child = self.first_child
+        ext: dict[Vertex, tuple[tuple[Edge, ...], list[Vertex]]] = {}
+        lo, hi = self.offsets[-2], self.offsets[-1]
+        run, start = source[lo] if lo < hi else None, len(parent)
+        for i in range(lo, hi):
+            if source[i] is not run:
+                self._extend_run(run, start)
+                run, start = source[i], len(parent)
+            first_child.append(len(parent))
+            v = end[i]
+            es_ranges = ext.get(v)
+            if es_ranges is None:
+                es = out[v]
+                es_ranges = ext[v] = (es, [e.range for e in es])
+            es, ranges = es_ranges
             if es:
-                parent.extend([i] * len(es))
+                parent.extend(repeat(i, len(es)))
                 edge.extend(es)
-                end.extend([e.range for e in es])
-                source.extend([source[i]] * len(es))
-                from_vertex[source[i]].extend(range(start, start + len(es)))
+                end.extend(ranges)
+        self._extend_run(run, start)
         self.offsets.append(len(parent))
+
+    def _extend_run(self, s: Vertex | None, start: int) -> None:
+        """Record source s for the new nodes from start on."""
+        n = len(self.parent) - start
+        if n:
+            self.source.extend(repeat(s, n))
+            self.from_vertex[s].extend(range(start, start + n))
 
     def __len__(self) -> int:
         return len(self.parent)

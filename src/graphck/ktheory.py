@@ -336,37 +336,44 @@ def graph_k_theory(g: DirectedGraph) -> KTheoryResult:
     return _k_theory_of(g, _sparse_smith_diagonal(_connectivity_rows(g), len(g.vertices)))
 
 
-def _power_sum(g: DirectedGraph, x: dict[Vertex, int], weights: Iterable[int]) -> list[int]:
-    """sum_j weights[j] (A^t)^j x as a vector by vertex index, for x given by
-    its nonzero entries.  (A^t x)_w sums x_v over the edges v -> w, so each
-    power pushes the previous layer one step along out-edges: (A^t)^j e_v
-    counts the paths of length j leaving v by range."""
+def _out_ranges(g: DirectedGraph) -> list[list[int]]:
+    """For each vertex index, the vertex indices of its out-edges' ranges,
+    one per edge: the adjacency `_power_sum` walks."""
     index = g.vertex_index
-    out = [0] * len(g.vertices)
+    return [[index(e.range) for e in g.out_edges(v)] for v in g.vertices]
+
+
+def _power_sum(succ: list[list[int]], x: dict[int, int], weights: Iterable[int]) -> list[int]:
+    """sum_j weights[j] (A^t)^j x as a vector by vertex index, for x given by
+    its nonzero entries by vertex index and succ = `_out_ranges(g)`.
+    (A^t x)_w sums x_v over the edges v -> w, so each power pushes the
+    previous layer one step along out-edges: (A^t)^j e_v counts the paths of
+    length j leaving v by range."""
+    out = [0] * len(succ)
     layer = x
     for j, weight in enumerate(weights):
         if j:
-            nxt: dict[Vertex, int] = {}
+            nxt: dict[int, int] = {}
             for v, c in layer.items():
-                for e in g.out_edges(v):
-                    nxt[e.range] = nxt.get(e.range, 0) + c
+                for w in succ[v]:
+                    nxt[w] = nxt.get(w, 0) + c
             layer = nxt
         for v, c in layer.items():
-            out[index(v)] += weight * c
+            out[v] += weight * c
     return out
 
 
-def _k0_target(g: DirectedGraph, v: Vertex, m: int) -> list[int]:
-    """(B - m) e_v with B = sum_{j<m} (A^t)^j: the vector that v's K0 witness
-    x must give as (I - A^t) x."""
-    y = _power_sum(g, {v: 1}, [1] * m)
-    y[g.vertex_index(v)] -= m
+def _k0_target(succ: list[list[int]], i: int, m: int) -> list[int]:
+    """(B - m) e_i with B = sum_{j<m} (A^t)^j: the vector that the K0
+    witness x of the vertex with index i must give as (I - A^t) x."""
+    y = _power_sum(succ, {i: 1}, [1] * m)
+    y[i] -= m
     return y
 
 
-def _scales_by_m(g: DirectedGraph, x: list[int], m: int) -> bool:
+def _scales_by_m(succ: list[list[int]], x: list[int], m: int) -> bool:
     """B x == m x, for x a vector by vertex index."""
-    return (_power_sum(g, {v: c for v, c in zip(g.vertices, x) if c}, [1] * m)
+    return (_power_sum(succ, {i: c for i, c in enumerate(x) if c}, [1] * m)
             == [m * c for c in x])
 
 
@@ -410,11 +417,12 @@ class MultiplicationCertificate:
         basis_rows = [{i: x[j] for i, x in enumerate(self.k1_basis) if x[j]} for j in range(n)]
         if any(d != 1 and d != -1 for d in _sparse_smith_diagonal(basis_rows, k)):
             return False
-        for v in g.vertices:
-            if phi_times(self.k0_witnesses[v.id]) != _k0_target(g, v, self.m):
+        succ = _out_ranges(g)
+        for i, v in enumerate(g.vertices):
+            if phi_times(self.k0_witnesses[v.id]) != _k0_target(succ, i, self.m):
                 return False
         for x in self.k1_basis:
-            if phi_times(x) != [0] * n or not _scales_by_m(g, x, self.m):
+            if phi_times(x) != [0] * n or not _scales_by_m(succ, x, self.m):
                 return False
         return self.ok
 
@@ -441,20 +449,21 @@ def _certify(g: DirectedGraph, m: int, diagonal: list[int]) -> MultiplicationCer
     """The certificate of `verify_multiplication_by_m`, given the Smith
     diagonal of I - A^t."""
     cert = MultiplicationCertificate(g, m, True)
+    succ = _out_ranges(g)
     if 0 not in diagonal:
-        for v in g.vertices:
-            cert.k0_witnesses[v.id] = _power_sum(g, {v: 1}, range(1 - m, 0))
+        for i, v in enumerate(g.vertices):
+            cert.k0_witnesses[v.id] = _power_sum(succ, {i: 1}, range(1 - m, 0))
         return cert
     snf = smith_normal_form(connectivity_matrix(g))
-    for v in g.vertices:
-        x = _solve_integer(snf, _k0_target(g, v, m))
+    for i, v in enumerate(g.vertices):
+        x = _solve_integer(snf, _k0_target(succ, i, m))
         if x is None:
             cert.ok = False
             cert.failure = f"K0 class of {v.id} is not shifted by a boundary"
             return cert
         cert.k0_witnesses[v.id] = x
     for x in integer_kernel_basis(snf):
-        if not _scales_by_m(g, x, m):
+        if not _scales_by_m(succ, x, m):
             cert.ok = False
             cert.failure = "K1 basis vector is not scaled by m"
             return cert

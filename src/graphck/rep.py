@@ -10,9 +10,11 @@ length, so that exact region is a prefix of basis indices.
 
 The 0/1 operators -- generators, T_mu, words T_alpha T_beta*, path
 projections, matrix units and window projections -- are partial injections
-of basis paths.  Each is built from an index map (column -> row) read off
-the basis path tree, T_mu: i(p) -> i(mu p), never by a matrix product; only
-weighted sums carry rational entries.  A built representation is immutable
+of basis paths, held as `Injection`s: an index map (column -> row) read off
+the basis path tree, T_mu: i(p) -> i(mu p), never by a matrix product.
+Their products compose the maps.  Weighted operators -- evaluated formal
+sums, band compressions, and sums and differences of operators -- are
+`RatMatrix`es with rational entries.  A built representation is immutable
 and all operations are pure, so independent scans parallelize.
 """
 
@@ -28,7 +30,7 @@ from math import ceil
 from .construct import BlowupGraph, embed_path
 from .errors import ContractViolation, ResourceLimit
 from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, sinks
-from .sparse import RatMatrix
+from .sparse import Injection, RatMatrix
 from .symbolic import AlgebraMode, FormalSum, Word, iota_word_image, normal_form
 
 DEFAULT_MAX_BASIS = 200_000
@@ -38,13 +40,15 @@ DEFAULT_MAX_BASIS = 200_000
 class RepOperator:
     """A matrix plus creation bounds governing its exact region.
 
-    `creations` bounds how far the operator can lengthen a basis path, which
-    is exactly what truncation corrupts; `star_creations` is the same bound
-    for the adjoint, so taking adjoints keeps the bookkeeping sound.  An
-    operator with bound k is exact on columns of length <= cutoff - k.
+    `matrix` is an `Injection` for a 0/1 operator and a `RatMatrix` for a
+    weighted one; products, sums and adjoints accept either.  `creations`
+    bounds how far the operator can lengthen a basis path, which is exactly
+    what truncation corrupts; `star_creations` is the same bound for the
+    adjoint, so taking adjoints keeps the bookkeeping sound.  An operator
+    with bound k is exact on columns of length <= cutoff - k.
     """
 
-    matrix: RatMatrix
+    matrix: RatMatrix | Injection
     creations: int
     star_creations: int | None = None
 
@@ -89,13 +93,6 @@ def _basis_bound(max_basis: int | None) -> tuple[int, str]:
 def _word_map(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """T_alpha T_beta*, i(beta tau) -> i(alpha tau), from the maps a, b of T_alpha, T_beta."""
     return {b[c]: r for c, r in a.items() if c in b}
-
-
-def _injection(n: int, cmap: dict[int, int]) -> RatMatrix:
-    """The 0/1 matrix sending column c to row cmap[c]."""
-    m = RatMatrix(n, n)
-    m.rows = {r: {c: 1} for c, r in cmap.items()}
-    return m
 
 
 class _BasisIndex(Mapping):
@@ -160,12 +157,12 @@ class TruncatedRep:
 
     def t_path(self, mu: Path) -> RepOperator:
         """T_mu: column xi_tau -> row xi_{mu tau}."""
-        return RepOperator(_injection(self.dimension, self.tree.prefix_map(mu)), len(mu), 0)
+        return RepOperator(Injection(self.dimension, self.tree.prefix_map(mu)), len(mu), 0)
 
     def word_operator(self, alpha: Path, beta: Path) -> RepOperator:
         """T_alpha T_beta*, with the tight length-shift creation bounds."""
         word = _word_map(self.tree.prefix_map(alpha), self.tree.prefix_map(beta))
-        return RepOperator(_injection(self.dimension, word),
+        return RepOperator(Injection(self.dimension, word),
                            max(0, len(alpha) - len(beta)), max(0, len(beta) - len(alpha)))
 
     def exact_columns(self, creations: int) -> range:
@@ -185,7 +182,9 @@ class TruncatedRep:
         """Matrix of a formal sum; words must be untensored."""
         if s.graph != self.graph:
             raise ContractViolation("formal sum lives over a different graph")
-        rows: dict[int, dict[int, Fraction]] = {}
+        total = RatMatrix(self.dimension, self.dimension)
+        rows = total.rows
+        met: set[int] = set()  # rows written by two terms; no other row can cancel
         creations = 0
         star_creations = 0
         leg = functools.cache(self.tree.prefix_map)  # terms share their legs
@@ -193,15 +192,20 @@ class TruncatedRep:
             if w.unit is not None:
                 raise ContractViolation("tensored words have no truncated-representation matrix")
             for col, row in _word_map(leg(w.alpha), leg(w.beta)).items():
-                dst = rows.setdefault(row, {})
-                dst[col] = dst[col] + c if col in dst else c
+                dst = rows.get(row)
+                if dst is None:
+                    rows[row] = {col: c}
+                else:
+                    met.add(row)
+                    dst[col] = dst[col] + c if col in dst else c
             creations = max(creations, len(w.alpha) - len(w.beta))
             star_creations = max(star_creations, len(w.beta) - len(w.alpha))
-        total = RatMatrix(self.dimension, self.dimension)
-        for i, row in rows.items():
-            kept = {j: v for j, v in row.items() if v}
-            if kept:
-                total.rows[i] = kept
+        for i in met:
+            row = rows[i]
+            for j in [j for j, v in row.items() if not v]:
+                del row[j]
+            if not row:
+                del rows[i]
         return RepOperator(total, creations, star_creations)
 
 
@@ -209,13 +213,10 @@ def build_rep(g: DirectedGraph, cutoff: int, max_basis: int | None = None) -> Tr
     return TruncatedRep(g, cutoff, max_basis)
 
 
-def _unit(rep: TruncatedRep, mu: Path, nu: Path) -> RatMatrix:
+def _unit(rep: TruncatedRep, mu: Path, nu: Path) -> Injection:
     """e_{mu,nu}, or zero when a leg is not a basis path."""
-    m = RatMatrix(rep.dimension, rep.dimension)
     i, j = rep.tree.find(mu), rep.tree.find(nu)
-    if i is not None and j is not None:
-        m.rows[i] = {j: 1}
-    return m
+    return Injection(rep.dimension, {} if i is None or j is None else {j: i})
 
 
 def path_projection(rep: TruncatedRep, mu: Path) -> RepOperator:
@@ -244,7 +245,7 @@ def window_projection(rep: TruncatedRep, m: int) -> RepOperator:
     identity on the basis prefix of those paths."""
     if not 0 <= m <= rep.cutoff:
         raise ContractViolation(f"need 0 <= m <= cutoff, got m={m}, cutoff={rep.cutoff}")
-    return RepOperator(_injection(rep.dimension, {i: i for i in range(rep.offsets[m])}), 0, 0)
+    return RepOperator(Injection(rep.dimension, {i: i for i in range(rep.offsets[m])}), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,8 @@ def compression_route(rep: TruncatedRep, m: int, w: Word, shift: int) -> RepOper
     band = hi - lo
     a = rep.word_operator(w.alpha, w.beta)
     mid = band * a * band
-    return RepOperator(_schur_by_length(rep, mid.matrix, m, shift), mid.creations)
+    return RepOperator(_schur_by_length(rep, mid.matrix, m, shift), mid.creations,
+                       mid.star_creations)
 
 
 @dataclass(frozen=True)

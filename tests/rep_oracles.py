@@ -4,9 +4,12 @@ The library builds every 0/1 operator directly from index maps.  These are
 the composed constructions from the definitions -- generators by path
 hashing, T_mu as a product of edge operators, range projections minus
 extension projections, and so on -- which the tests compare against the
-direct ones on whole matrices.  The matrix-unit rule check, the two Schur
-routes for the weight matrix and the window-to-blow-up map lambda live here
-too, as does the double-precision norm estimate: only tests use them.
+direct ones on whole matrices.  `injection_matrix` stores a partial
+injection as the dict-of-dicts `RatMatrix` the library used before
+`Injection`, for the differential tests of the injection algebra.  The
+matrix-unit rule check, the two Schur routes for the weight matrix and the
+window-to-blow-up map lambda live here too, as does the double-precision
+norm estimate: only tests use them.
 """
 
 from __future__ import annotations
@@ -80,6 +83,13 @@ def window_projection(rep: TruncatedRep, m: int) -> RepOperator:
     for mu in paths(rep.graph, 0, m):
         total = total + path_projection(rep, mu).matrix
     return RepOperator(total, 0, 0)
+
+
+def injection_matrix(n: int, cmap: dict[int, int]) -> RatMatrix:
+    """The 0/1 matrix sending column c to row cmap[c], with int 1 entries."""
+    m = RatMatrix(n, n)
+    m.rows = {r: {c: 1} for c, r in cmap.items()}
+    return m
 
 
 def identity_matrix(n: int) -> RatMatrix:

@@ -402,14 +402,27 @@ def test_path_tree_layout_find_and_prefix_map(rng):
 
 def test_lazy_path_tree_matches_eager_oracle(rng):
     """The index arrays give the eager tree's paths, whether read node by node,
-    all at once, or again after the tree has grown past an earlier read."""
-    for _ in range(25):
+    all at once, or again after the tree has grown past an earlier read; the
+    roots come out of vertex order, and half the time as equal copies of the
+    graph's vertices."""
+    for trial in range(25):
         g = random_graph(rng, max_vertices=4, max_edges=7)
         roots = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+        if trial % 2:
+            roots = [G.Vertex(v.id) for v in roots]
         depth = rng.randint(1, 4)
         want, parent, offsets = eager_path_tree(g, roots, depth)
         tree = PathTree(g, roots, depth)
         assert len(tree) == len(want) and tree.parent == parent and tree.offsets == offsets
+        assert tree.from_vertex == {v: [i for i, p in enumerate(want) if p.source == v]
+                                    for v in g.vertices}
+        assert len(tree.first_child) == offsets[depth]
+        for i, first in enumerate(tree.first_child):
+            children = [j for j in range(len(want)) if parent[j] == i]
+            # the children sit from first_child[i] on, in out_edges order
+            assert children == list(range(first, first + len(children)))
+            assert first == sum(1 for j in range(len(want)) if j < offsets[1] or parent[j] < i)
+            assert [want[j].edges[-1] for j in children] == list(g.out_edges(want[i].range))
         for i, p in enumerate(want):
             built = tree.path(i)
             assert built == p and hash(built) == hash(p) and built.id == p.id

@@ -344,16 +344,23 @@ def test_band_compression_empty_window():
 
 
 def test_pm_qm_match_compression_route():
-    for make in (two_loop, two_cycle, single_loop):
+    """The route equals both compressions, with their creation bounds in
+    both directions, so that its adjoint is exact only where theirs is."""
+    loop_and_cycle = G.DirectedGraph.build(
+        ["v", "w"], [("e", "v", "w"), ("f", "w", "v"), ("l", "v", "v")])
+    for make in (two_loop, two_cycle, single_loop, lambda: loop_and_cycle):
         g = make()
         rep = G.build_rep(g, 8)
         words = [Word(Path.at(v), Path.at(v)) for v in g.vertices]
         words += [Word(Path((e,)), Path.at(e.range)) for e in g.edges]
+        words += [Word(Path.at(e.range), Path((e,))) for e in g.edges]
         for w in words:
-            pm = G.band_compression(rep, 2, w)
-            assert rep.equal_on_exact_region(pm, compression_route(rep, 2, w, 2))
-            qm = G.shifted_band_compression(rep, 2, w)
-            assert rep.equal_on_exact_region(qm, compression_route(rep, 2, w, 3))
+            for shifted, compress in ((2, G.band_compression), (3, G.shifted_band_compression)):
+                direct, route = compress(rep, 2, w), compression_route(rep, 2, w, shifted)
+                assert rep.equal_on_exact_region(direct, route)
+                assert rep.equal_on_exact_region(direct.star(), route.star())
+                assert ((route.creations, route.star_creations)
+                        == (direct.creations, direct.star_creations)), (w, shifted)
 
 
 def test_pm_preserves_adjoints():
@@ -412,6 +419,31 @@ def test_lambda_map_kills_mismatched_units():
     if nu != rho:
         prod = lambda_map(bg, 2, mu, nu) * lambda_map(bg, 2, rho, sg)
         assert prod.is_zero()
+
+
+def test_evaluate_drops_rows_its_terms_cancel():
+    """p_v - sum_e s_e s_e* in Toeplitz form cancels on every row but v's;
+    evaluate stores no zero entry and no empty row, and equals the sum of
+    the composed word operators."""
+    for make in REP_CORPUS.values():
+        g = make()
+        rep = G.build_rep(g, 5)
+        for v in g.vertices:
+            terms = {Word(Path.at(v), Path.at(v)): Fraction(1, 2)}
+            for e in g.out_edges(v):
+                terms[Word(Path((e,)), Path((e,)))] = Fraction(-1, 2)
+                terms[Word(Path((e,)), Path.at(e.range))] = 3
+            op = rep.evaluate(FormalSum(g, terms))
+            assert all(row and all(row.values()) for row in op.matrix.rows.values())
+            want = RatMatrix(rep.dimension, rep.dimension)
+            for w, c in terms.items():
+                word = rep_oracles.word_operator(rep, w.alpha, w.beta).matrix
+                want = want + RatMatrix(rep.dimension, rep.dimension,
+                                        {(i, j): c * x for i, row in word.rows.items()
+                                         for j, x in row.items()})
+            assert op.matrix == want
+            iv = rep.index[Path.at(v)]
+            assert op.matrix.rows[iv] == {iv: Fraction(1, 2)}
 
 
 def test_k_coefficients_examples():
