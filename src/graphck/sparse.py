@@ -26,6 +26,10 @@ def _mul_check(a, b) -> None:
         raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
 
 
+def _column_set(cols: Iterable[int]) -> range | set[int] | frozenset[int]:
+    return cols if isinstance(cols, (range, set, frozenset)) else set(cols)
+
+
 class RatMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -122,7 +126,7 @@ class RatMatrix:
         """Equal entries in every column of cols; one pass over the stored
         entries of both matrices."""
         _shape_check(self, other)
-        keep = cols if isinstance(cols, (range, set, frozenset)) else set(cols)
+        keep = _column_set(cols)
         if isinstance(other, Injection):
             cmap = other.cmap
             return (all(v == (1 if cmap.get(j) == i else 0)
@@ -207,7 +211,7 @@ class Injection:
             return other.equal_on_columns(self, cols)
         _shape_check(self, other)
         a, b = self.cmap, other.cmap
-        keep = cols if isinstance(cols, (range, set, frozenset)) else set(cols)
+        keep = _column_set(cols)
         return (all(b.get(c) == r for c, r in a.items() if c in keep)
                 and all(c in a for c in b if c in keep))
 
