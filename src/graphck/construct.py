@@ -48,19 +48,21 @@ class BlowupGraph:
         vertex_ids: set[str] = set()
         vs = [Vertex(_fresh(vertex_ids, t)) for t in tokens]
         edge_ids: set[str] = set()
-        # _into[i][e]: the edge of the pair (e, path i) and the index of its source
-        self._into: list[dict[Edge, tuple[Edge, int]]] = [{} for _ in vs]
-        # _pair_of_edge[edge]: its pair (e, p), with p as a tree index
-        self._pair_of_edge: dict[Edge, tuple[Edge, int]] = {}
-        for e in base.edges:
+        edges: list[Edge] = []
+        # _into[i][k]: the edge of the pair (base edge k, path i) and the index of its source
+        self._into: list[dict[int, tuple[Edge, int]]] = [{} for _ in vs]
+        # _pair_of_edge[n]: the pair (e, p) of blow-up edge n, with p as a tree index
+        self._pair_of_edge: list[tuple[Edge, int]] = []
+        for k, e in enumerate(base.edges):
             longer = tree.prefix_map(Path((e,)))
             top = tree.from_vertex[e.source][0]
             for i in tree.from_vertex[e.range]:
                 j = longer.get(i, top)
                 new = Edge(_fresh(edge_ids, f"{e.id}__{vs[i].id}"), vs[j], vs[i])
-                self._into[i][e] = (new, j)
-                self._pair_of_edge[new] = (e, i)
-        self.graph = DirectedGraph(vs, self._pair_of_edge)
+                self._into[i][k] = (new, j)
+                self._pair_of_edge.append((e, i))
+                edges.append(new)
+        self.graph = DirectedGraph(vs, edges)
 
     def vertex_of_path(self, p: Path) -> Vertex:
         i = self.tree.find(p)
@@ -74,10 +76,11 @@ class BlowupGraph:
         return self.tree.path(self.graph.vertex_index(v))
 
     def pair_of_edge(self, edge: Edge) -> tuple[Edge, Path]:
-        pair = self._pair_of_edge.get(edge)
-        if pair is None:
+        n = self.graph.edge_position(edge)
+        if n is None:
             raise ContractViolation(f"edge {edge.id} is not an edge of the blow-up")
-        return pair[0], self.tree.path(pair[1])
+        e, i = self._pair_of_edge[n]
+        return e, self.tree.path(i)
 
     def walk_into(self, mu: Path, v: Vertex) -> Path:
         """The blow-up path into v whose edges carry the edges of mu.
@@ -96,7 +99,8 @@ class BlowupGraph:
             raise ContractViolation(f"no blow-up walk carrying {mu.id} ends at {v.id}")
         walk = []
         for e in reversed(mu.edges):
-            step = self._into[i].get(e)
+            k = self.base.edge_position(e)
+            step = None if k is None else self._into[i].get(k)
             if step is None:
                 raise ContractViolation(f"edge {e.id} is not an edge of the base graph")
             new, i = step
@@ -155,7 +159,7 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
         if not g.has_vertex(v):
             raise ContractViolation(f"vertex {v.id} not in graph")
     for e in f_set:
-        if e not in g.edges:
+        if g.edge_position(e) is None:
             raise ContractViolation(f"edge {e.id} not in graph")
     counts = first_return_counts(g)
     bad = next((v for v in g.vertices if counts[v] == 1), None)

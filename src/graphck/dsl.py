@@ -15,46 +15,55 @@ from .graphs import DirectedGraph, Edge, Path, Vertex
 _ID = re.compile(r"^[A-Za-z0-9_]+$")
 _EDGE = re.compile(r"^edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
 _VERTEX = re.compile(r"^vertex\s+(\S+)$")
+# A well-formed line -- a vertex, an edge, or nothing -- with its comment;
+# these are exactly the lines that `_line_error` does not refuse.
+_LINE = re.compile(r"\s*(?:vertex\s+([A-Za-z0-9_]+)"
+                   r"|edge\s+([A-Za-z0-9_]+)\s*:\s*([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+))?"
+                   r"\s*(?:#.*)?")
 
 
-def _check_id(token: str, lineno: int) -> str:
-    if not _ID.match(token):
-        raise DslError(f"invalid id {token!r}", line=lineno)
-    return token
+def _line_error(raw: str, lineno: int) -> DslError:
+    """The refusal of a line that `_LINE` does not match: the first invalid
+    id of a vertex or edge line, else the line is unrecognized."""
+    line = raw.split("#", 1)[0].strip()
+    m = _VERTEX.match(line) or _EDGE.match(line)
+    for token in m.groups() if m else ():
+        if not _ID.match(token):
+            return DslError(f"invalid id {token!r}", line=lineno)
+    return DslError(f"unrecognized line {line!r}", line=lineno)
 
 
 def parse_graph(text: str) -> DirectedGraph:
-    """Parse DSL text into a graph; report duplicate and dangling ids."""
+    """Parse DSL text into a graph; report duplicate and dangling ids.
+
+    Each line is matched once; only a line that fails the match is looked at
+    again, to name what is wrong with it."""
     vertices: list[Vertex] = []
     by_id: dict[str, Vertex] = {}
     edges: list[Edge] = []
     edge_ids: set[str] = set()
+    match = _LINE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _VERTEX.match(line)
-        if m:
-            vid = _check_id(m.group(1), lineno)
+        m = match(raw)
+        if m is None:
+            raise _line_error(raw, lineno)
+        vid, eid, src, dst = m.groups()
+        if vid is not None:
             if vid in by_id:
                 raise DslError(f"duplicate vertex id {vid}", line=lineno)
-            v = Vertex(vid)
+            v = by_id[vid] = Vertex(vid)
             vertices.append(v)
-            by_id[vid] = v
-            continue
-        m = _EDGE.match(line)
-        if m:
-            eid, src, dst = (_check_id(t, lineno) for t in m.groups())
+        elif eid is not None:
             if eid in edge_ids:
                 raise DslError(f"duplicate edge id {eid}", line=lineno)
-            if src not in by_id:
+            s = by_id.get(src)
+            if s is None:
                 raise DslError(f"unknown vertex {src}", line=lineno)
-            if dst not in by_id:
+            r = by_id.get(dst)
+            if r is None:
                 raise DslError(f"unknown vertex {dst}", line=lineno)
             edge_ids.add(eid)
-            edges.append(Edge(eid, by_id[src], by_id[dst]))
-            continue
-        raise DslError(f"unrecognized line {line!r}", line=lineno)
+            edges.append(Edge(eid, s, r))
     return DirectedGraph(vertices, edges)
 
 
@@ -71,21 +80,19 @@ def parse_pathspec(g: DirectedGraph, text: str) -> Path:
     token = text.strip()
     if not token:
         raise DslError("empty path specification")
+    vi, ei = g._vindex, g._eindex
     if "." not in token:
-        vertices = [v for v in g.vertices if v.id == token]
-        edges = [e for e in g.edges if e.id == token]
-        if vertices and edges:
+        if token in vi and token in ei:
             raise DslError(f"path {token} is ambiguous: it names both vertex {token} "
                            f"and edge {token}")
-        if vertices:
-            return Path.at(vertices[0])
-        if edges:
-            return Path((edges[0],))
+        if token in vi:
+            return Path.at(g.vertices[vi[token]])
+        if token in ei:
+            return Path((g.edges[ei[token]],))
         raise DslError(f"no vertex or edge named {token}")
     edges = []
     for part in token.split("."):
-        matches = [e for e in g.edges if e.id == part]
-        if not matches:
+        if part not in ei:
             raise DslError(f"no edge named {part}")
-        edges.append(matches[0])
+        edges.append(g.edges[ei[part]])
     return Path(tuple(edges))

@@ -6,6 +6,11 @@ them as index arrays and builds a `Path` only when one is read.  Vertices
 and edges keep their insertion order, and paths are ordered by length and
 then left-to-right by edge insertion index, so every matrix and report built
 downstream is byte-stable.
+
+A `DirectedGraph` is stored by vertex index: id maps give each vertex and
+edge its position, and the edges leaving and entering each vertex sit in
+lists indexed by vertex.  The walks here -- Tarjan's components, first-return
+counts, path-tree growth -- read those arrays and never hash a `Vertex`.
 """
 
 from __future__ import annotations
@@ -141,32 +146,50 @@ class Path:
 
 
 class DirectedGraph:
-    """Finite directed multigraph with insertion-ordered vertices and edges."""
+    """Finite directed multigraph with insertion-ordered vertices and edges.
 
-    __slots__ = ("vertices", "edges", "_vindex", "_out", "_in")
+    The graph is stored by vertex index: `_vindex` maps each vertex id to its
+    position in `vertices` and `_eindex` each edge id to its position in
+    `edges`, and `_out[i]` and `_in[i]` are the tuples of edges leaving and
+    entering vertex i, in edge order.  Lookups go through `v.id`, so a vertex
+    equal to a graph vertex but not the same object works everywhere.
+    """
+
+    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_out", "_in")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._vindex: dict[Vertex, int] = {}
-        for i, v in enumerate(self.vertices):
-            if v in self._vindex:  # Vertex compares by id
+        vindex = self._vindex = {v.id: i for i, v in enumerate(self.vertices)}
+        self._eindex = {e.id: k for k, e in enumerate(self.edges)}
+        out: list[list[Edge]] = [[] for _ in self.vertices]
+        into: list[list[Edge]] = [[] for _ in self.vertices]
+        try:
+            for e in self.edges:
+                out[vindex[e.source.id]].append(e)
+                into[vindex[e.range.id]].append(e)
+        except KeyError:
+            self._refuse()
+        if len(vindex) != len(self.vertices) or len(self._eindex) != len(self.edges):
+            self._refuse()
+        self._out = [tuple(es) for es in out]
+        self._in = [tuple(es) for es in into]
+
+    def _refuse(self) -> None:
+        """Raise for the first duplicate id or dangling edge, scanning in order."""
+        seen: set[str] = set()
+        for v in self.vertices:
+            if v.id in seen:
                 raise ContractViolation(f"duplicate vertex id {v.id}")
-            self._vindex[v] = i
-        seen_eids = set()
+            seen.add(v.id)
+        seen_eids: set[str] = set()
         for e in self.edges:
             if e.id in seen_eids:
                 raise ContractViolation(f"duplicate edge id {e.id}")
             seen_eids.add(e.id)
-            if e.source not in self._vindex or e.range not in self._vindex:
+            if e.source.id not in seen or e.range.id not in seen:
                 raise ContractViolation(f"edge {e.id} has an endpoint outside the graph")
-        out: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
-        into: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.source].append(e)
-            into[e.range].append(e)
-        self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in into.items()}
+        raise AssertionError("no refusal found")
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]] = ()) -> "DirectedGraph":
@@ -181,28 +204,43 @@ class DirectedGraph:
         return DirectedGraph(vs, es)
 
     def out_edges(self, v: Vertex) -> tuple[Edge, ...]:
-        return self._out[v]
+        try:
+            return self._out[self._vindex[v.id]]
+        except KeyError:
+            raise KeyError(v) from None
 
     def in_edges(self, v: Vertex) -> tuple[Edge, ...]:
-        return self._in[v]
+        try:
+            return self._in[self._vindex[v.id]]
+        except KeyError:
+            raise KeyError(v) from None
 
     def has_vertex(self, v: Vertex) -> bool:
-        return v in self._vindex
+        return v.id in self._vindex
 
     def vertex_index(self, v: Vertex) -> int:
-        return self._vindex[v]
+        try:
+            return self._vindex[v.id]
+        except KeyError:
+            raise KeyError(v) from None
 
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise ContractViolation(f"no vertex named {vid}")
+        i = self._vindex.get(vid)
+        if i is None:
+            raise ContractViolation(f"no vertex named {vid}")
+        return self.vertices[i]
 
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise ContractViolation(f"no edge named {eid}")
+        k = self._eindex.get(eid)
+        if k is None:
+            raise ContractViolation(f"no edge named {eid}")
+        return self.edges[k]
+
+    def edge_position(self, e: Edge) -> int | None:
+        """The index of e among the edges, or None when e is not one of them:
+        an edge with a known id but other endpoints is not."""
+        k = self._eindex.get(e.id)
+        return k if k is not None and self.edges[k] == e else None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DirectedGraph)
@@ -252,12 +290,13 @@ class PathTree:
 
         A layer is sorted by source (a child keeps its parent's source
         object), so `source` and `from_vertex` are extended once per run of
-        equal sources; each end vertex's out-edges and their ranges are read
-        once per call."""
-        out, parent, edge, source, end = (self.graph._out, self.parent, self.edge,
-                                          self.source, self.end)
+        equal sources; each end vertex's out-edges, read from the graph by
+        vertex index, and their ranges are read once per call."""
+        g = self.graph
+        vindex, out = g._vindex, g._out
+        parent, edge, source, end = self.parent, self.edge, self.source, self.end
         first_child = self.first_child
-        ext: dict[Vertex, tuple[tuple[Edge, ...], list[Vertex]]] = {}
+        ext: dict[str, tuple[tuple[Edge, ...], list[Vertex]]] = {}
         lo, hi = self.offsets[-2], self.offsets[-1]
         run, start = source[lo] if lo < hi else None, len(parent)
         for i in range(lo, hi):
@@ -265,11 +304,11 @@ class PathTree:
                 self._extend_run(run, start)
                 run, start = source[i], len(parent)
             first_child.append(len(parent))
-            v = end[i]
-            es_ranges = ext.get(v)
+            vid = end[i].id
+            es_ranges = ext.get(vid)
             if es_ranges is None:
-                es = out[v]
-                es_ranges = ext[v] = (es, [e.range for e in es])
+                es = out[vindex[vid]]
+                es_ranges = ext[vid] = (es, [e.range for e in es])
             es, ranges = es_ranges
             if es:
                 parent.extend(repeat(i, len(es)))
@@ -358,35 +397,44 @@ def sinks(g: DirectedGraph) -> list[Vertex]:
     return [v for v in g.vertices if not g.out_edges(v)]
 
 
-def _components(g: DirectedGraph) -> tuple[dict[Vertex, int], int]:
-    """Strongly connected components by Tarjan: (component of each vertex, count).
+def _out_ranges(g: DirectedGraph) -> list[list[int]]:
+    """For each vertex index, the vertex indices of its out-edges' ranges, one
+    per edge, in edge order."""
+    vindex = g._vindex
+    return [[vindex[e.range.id] for e in es] for es in g._out]
+
+
+def _components(succ: list[list[int]]) -> tuple[list[int], int]:
+    """Strongly connected components by Tarjan, on succ = `_out_ranges(g)`:
+    (component of each vertex index, count).
 
     A component is numbered only after every component it reaches, so edges
     between components always lead to a smaller number.
     """
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    comp: dict[Vertex, int] = {}
-    stack: list[Vertex] = []
-    n = 0
-    for root in g.vertices:
-        if root in index:
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)
+    stack: list[int] = []
+    visited = n = 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
             continue
         # iterative Tarjan; recursion depth can exceed limits on long chains
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = visited
+        visited += 1
         stack.append(root)
-        work = [(root, iter(g.out_edges(root)))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            for e in it:
-                w = e.range
-                if w not in index:
-                    index[w] = low[w] = len(index)
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
                     stack.append(w)
-                    work.append((w, iter(g.out_edges(w))))
+                    work.append((w, iter(succ[w])))
                     break
-                if w not in comp:  # visited and unassigned: still on the stack
-                    low[v] = min(low[v], index[w])
+                if comp[w] < 0 and index[w] < low[v]:  # still on the stack
+                    low[v] = index[w]
             else:
                 work.pop()
                 if low[v] == index[v]:
@@ -398,8 +446,22 @@ def _components(g: DirectedGraph) -> tuple[dict[Vertex, int], int]:
                     n += 1
                 if work:
                     u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp, n
+
+
+def _return_counts(g: DirectedGraph) -> list[int]:
+    """`first_return_counts` by vertex index."""
+    succ = _out_ranges(g)
+    comp, n = _components(succ)
+    most = [0] * n  # per component: most edges one vertex sends into it
+    for v, ws in enumerate(succ):
+        c = comp[v]
+        inside = sum(1 for w in ws if comp[w] == c)
+        if inside > most[c]:
+            most[c] = inside
+    return [min(2, most[c]) for c in comp]
 
 
 def first_return_counts(g: DirectedGraph) -> dict[Vertex, int]:
@@ -411,17 +473,12 @@ def first_return_counts(g: DirectedGraph) -> dict[Vertex, int]:
     such paths; if no vertex sends two, C is a bare cycle (one path) or a lone
     vertex without a loop (none).
     """
-    comp, _ = _components(g)
-    most: dict[int, int] = {}  # per component: most edges one vertex sends into it
-    for v in g.vertices:
-        inside = sum(1 for e in g.out_edges(v) if comp[e.range] == comp[v])
-        most[comp[v]] = max(most.get(comp[v], 0), inside)
-    return {v: min(2, most[comp[v]]) for v in g.vertices}
+    return dict(zip(g.vertices, _return_counts(g)))
 
 
 def cycle_vertices(g: DirectedGraph) -> frozenset[Vertex]:
     """Vertices lying on at least one cycle."""
-    return frozenset(v for v, count in first_return_counts(g).items() if count)
+    return frozenset(v for v, count in zip(g.vertices, _return_counts(g)) if count)
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
@@ -435,31 +492,33 @@ def unique_first_return(g: DirectedGraph, v: Vertex) -> Path | None:
     walk returns to v with no branch on the way exactly when that component
     is a bare cycle.
     """
-    comp, _ = _components(g)
+    succ = _out_ranges(g)
+    comp, _ = _components(succ)
+    start = g.vertex_index(v)
     walk: list[Edge] = []
-    x = v
-    while not walk or x != v:
-        inside = [e for e in g.out_edges(x) if comp[e.range] == comp[v]]
+    x = start
+    while not walk or x != start:
+        inside = [k for k, w in enumerate(succ[x]) if comp[w] == comp[start]]
         if len(inside) != 1:
             return None
-        walk.append(inside[0])
-        x = inside[0].range
+        walk.append(g._out[x][inside[0]])
+        x = succ[x][inside[0]]
     return Path(tuple(walk))
 
 
 def satisfies_condition_K(g: DirectedGraph) -> bool:
     """No vertex has exactly one first-return path."""
-    return 1 not in first_return_counts(g).values()
+    return 1 not in _return_counts(g)
 
 
 def satisfies_condition_L(g: DirectedGraph) -> bool:
     """Every cycle has an exit: no component is a bare cycle, whose vertices
     each emit exactly one edge, inside the component."""
-    comp, n = _components(g)
+    succ = _out_ranges(g)
+    comp, n = _components(succ)
     has_exit = [False] * n
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if len(out) != 1 or comp[out[0].range] != comp[v]:
+    for v, ws in enumerate(succ):
+        if len(ws) != 1 or comp[ws[0]] != comp[v]:
             has_exit[comp[v]] = True
     return all(has_exit)
 
@@ -514,13 +573,14 @@ def enumerate_hereditary_saturated(g: DirectedGraph) -> list[frozenset[Vertex]]:
     components are decided successors first, so every partial choice ends in
     a set: the cost follows the number of sets, refused past MAX_LATTICE_SETS.
     """
-    comp, n = _components(g)
+    out = _out_ranges(g)
+    comp, n = _components(out)
     members = [0] * n  # vertex bits of each component
     succ = [0] * n     # vertex bits of the ranges of its edges
-    for v, c in comp.items():
-        members[c] |= 1 << g.vertex_index(v)
-    for e in g.edges:
-        succ[comp[e.source]] |= 1 << g.vertex_index(e.range)
+    for v, c in enumerate(comp):
+        members[c] |= 1 << v
+        for w in out[v]:
+            succ[c] |= 1 << w
     sets = [0]
     for c in range(n):
         outside = succ[c] & ~members[c]

@@ -23,7 +23,7 @@ from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .errors import ContractViolation
-from .graphs import DirectedGraph, Vertex, enumerate_hereditary_saturated, sinks
+from .graphs import DirectedGraph, Vertex, _out_ranges, enumerate_hereditary_saturated, sinks
 
 IntMatrix = list[list[int]]
 
@@ -306,11 +306,11 @@ def connectivity_matrix(g: DirectedGraph) -> IntMatrix:
 def _connectivity_rows(g: DirectedGraph) -> list[dict[int, int]]:
     """The nonzero entries of I - A^t, row by row: row i holds 1 at column i,
     less one at column j for each edge from vertex j into vertex i."""
-    index = g.vertex_index
+    index = g._vindex
     rows = [{i: 1} for i in range(len(g.vertices))]
     for e in g.edges:
-        row = rows[index(e.range)]
-        j = index(e.source)
+        row = rows[index[e.range.id]]
+        j = index[e.source.id]
         row[j] = row.get(j, 0) - 1
     for i, row in enumerate(rows):
         if not row[i]:
@@ -334,13 +334,6 @@ def graph_k_theory(g: DirectedGraph) -> KTheoryResult:
     """K0 = coker(I - A^t) and K1 = ker(I - A^t), read from the Smith diagonal."""
     _require_ktheory_ready(g)
     return _k_theory_of(g, _sparse_smith_diagonal(_connectivity_rows(g), len(g.vertices)))
-
-
-def _out_ranges(g: DirectedGraph) -> list[list[int]]:
-    """For each vertex index, the vertex indices of its out-edges' ranges,
-    one per edge: the adjacency `_power_sum` walks."""
-    index = g.vertex_index
-    return [[index(e.range) for e in g.out_edges(v)] for v in g.vertices]
 
 
 def _power_sum(succ: list[list[int]], x: dict[int, int], weights: Iterable[int]) -> list[int]:

@@ -10,12 +10,16 @@ These are the independent routes the tests compare against -- brute-force
 first returns, fixed-point closure, block recursion and products of edge
 images, products over every pair of words, minor gcds, path enumeration, the
 adjacency matrix, a path tree with one `Path` per node -- kept out of the
-library because nothing but the tests runs them.  `add_tails` builds the
-capped stand-in for a graph with sinks that K-theory must refuse.
+library because nothing but the tests runs them.  `parse_graph_by_lines`
+reads the DSL by stripping each line and trying the vertex and the edge
+pattern in turn, where the library matches one pattern per line.
+`add_tails` builds the capped stand-in for a graph with sinks that K-theory
+must refuse.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +27,7 @@ from math import gcd
 from typing import Iterable
 
 from graphck.construct import BlowupGraph, _fresh
-from graphck.errors import ContractViolation, ResourceLimit
+from graphck.errors import ContractViolation, DslError, ResourceLimit
 from graphck.graphs import (DirectedGraph, Edge, Path, Vertex, _as_vertex_set, paths_from,
                             sinks)
 from graphck.ktheory import (IntMatrix, KTheoryResult, _det, connectivity_matrix,
@@ -265,4 +269,51 @@ def add_tails(g: DirectedGraph, depth: int) -> DirectedGraph:
             vertices.append(nxt)
             edges.append(Edge(_fresh(edge_ids, f"{w.id}_tailedge{i}"), prev, nxt))
             prev = nxt
+    return DirectedGraph(vertices, edges)
+
+
+_ID = re.compile(r"^[A-Za-z0-9_]+$")
+_EDGE = re.compile(r"^edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
+_VERTEX = re.compile(r"^vertex\s+(\S+)$")
+
+
+def _check_id(token: str, lineno: int) -> str:
+    if not _ID.match(token):
+        raise DslError(f"invalid id {token!r}", line=lineno)
+    return token
+
+
+def parse_graph_by_lines(text: str) -> DirectedGraph:
+    """The DSL read line by line: strip the comment and the whitespace, then
+    try the vertex pattern, then the edge pattern, and check each id."""
+    vertices: list[Vertex] = []
+    by_id: dict[str, Vertex] = {}
+    edges: list[Edge] = []
+    edge_ids: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _VERTEX.match(line)
+        if m:
+            vid = _check_id(m.group(1), lineno)
+            if vid in by_id:
+                raise DslError(f"duplicate vertex id {vid}", line=lineno)
+            v = Vertex(vid)
+            vertices.append(v)
+            by_id[vid] = v
+            continue
+        m = _EDGE.match(line)
+        if m:
+            eid, src, dst = (_check_id(t, lineno) for t in m.groups())
+            if eid in edge_ids:
+                raise DslError(f"duplicate edge id {eid}", line=lineno)
+            if src not in by_id:
+                raise DslError(f"unknown vertex {src}", line=lineno)
+            if dst not in by_id:
+                raise DslError(f"unknown vertex {dst}", line=lineno)
+            edge_ids.add(eid)
+            edges.append(Edge(eid, by_id[src], by_id[dst]))
+            continue
+        raise DslError(f"unrecognized line {line!r}", line=lineno)
     return DirectedGraph(vertices, edges)

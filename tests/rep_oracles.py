@@ -15,6 +15,7 @@ norm estimate: only tests use them.
 from __future__ import annotations
 
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -27,13 +28,22 @@ from graphck.sparse import RatMatrix
 from graphck.symbolic import FormalSum, Word
 
 
+# rep -> edge -> T_e; no caller mutates a RepOperator or its matrix, so the
+# composed routes below share one T_e per edge
+_EDGE_OPERATORS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def edge_operator(rep: TruncatedRep, e) -> RepOperator:
-    """T_e: xi_p -> xi_{e p} for p starting at r(e) with |p| < cutoff."""
-    m = RatMatrix(rep.dimension, rep.dimension)
-    for p, i in rep.index.items():
-        if p.source == e.range and len(p) + 1 <= rep.cutoff:
-            m.rows.setdefault(rep.index[Path((e,)) * p], {})[i] = 1
-    return RepOperator(m, 1, 0)
+    """T_e: xi_p -> xi_{e p} for p starting at r(e) with |p| < cutoff; built
+    once per (rep, e)."""
+    built = _EDGE_OPERATORS.setdefault(rep, {})
+    if e not in built:
+        m = RatMatrix(rep.dimension, rep.dimension)
+        for p, i in rep.index.items():
+            if p.source == e.range and len(p) + 1 <= rep.cutoff:
+                m.rows.setdefault(rep.index[Path((e,)) * p], {})[i] = 1
+        built[e] = RepOperator(m, 1, 0)
+    return built[e]
 
 
 def vertex_operator(rep: TruncatedRep, v) -> RepOperator:

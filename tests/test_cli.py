@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import io
 import json
 import os
@@ -34,18 +35,105 @@ def test_parse_two_loop():
     assert [e.id for e in g.edges] == ["e", "f"]
 
 
-def test_parse_errors():
+@pytest.mark.parametrize("text, message, line", [
+    ("edge e : v -> w\n", "unknown vertex v", 1),
+    ("vertex v\nedge e : v -> w\n", "unknown vertex w", 2),
+    ("vertex v\nvertex v\n", "duplicate vertex id v", 2),
+    ("vertex v\nedge e : v -> v\nedge e : v -> v\n", "duplicate edge id e", 3),
+    ("vertex a-b\n", "invalid id 'a-b'", 1),
+    ("vertex v\n\nedge e:v -> v.w # x\n", "invalid id 'v.w'", 3),
+    ("whatever\n", "unrecognized line 'whatever'", 1),
+    ("vertex v  # c\r\nvertex v w\r\n", "unrecognized line 'vertex v w'", 2),
+])
+def test_parse_errors(text, message, line):
     with pytest.raises(DslError) as err:
-        parse_graph("edge e : v -> w\n")
-    assert "unknown vertex v" in str(err.value) and err.value.line == 1
-    with pytest.raises(DslError):
-        parse_graph("vertex v\nvertex v\n")
-    with pytest.raises(DslError):
-        parse_graph("vertex v\nedge e : v -> v\nedge e : v -> v\n")
-    with pytest.raises(DslError):
-        parse_graph("vertex a-b\n")
-    with pytest.raises(DslError):
-        parse_graph("whatever\n")
+        parse_graph(text)
+    assert str(err.value) == f"{message} at line {line}" and err.value.line == line
+
+
+_SPACE = [" ", " ", " ", "  ", "\t", "\u00a0", "\x1f"]
+_UNRECOGNIZED = ["node v", "vertex", "Vertex v", "vertex v w", "edge e : v",
+                 "edge e v w", "edge e : v -> w x", "-> v", "edge : v -> w"]
+
+
+def _random_dsl(rng) -> str:
+    """A DSL text of up to 8 lines with, now and then, a malformed line: an
+    invalid id tagged by its position (V vertex, E edge, S source, D
+    destination), a duplicate or unknown id, or an unrecognized line; among
+    comments, blank lines, odd whitespace and mixed line endings."""
+    vids: list[str] = []
+    eids: list[str] = []
+
+    def bad(tag: str) -> str:
+        return f"{tag}{rng.choice('-.$!é')}{rng.randint(0, 9)}"
+
+    def pick(pool: list[str], tag: str, fresh: str) -> str:
+        roll = rng.random()
+        if roll < 0.03:
+            return bad(tag)
+        if roll < 0.06 or not pool:
+            return fresh
+        return rng.choice(pool)
+
+    def sp() -> str:
+        return rng.choice(_SPACE)
+
+    def opt() -> str:
+        return rng.choice(["", "", " ", "\t"])
+
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if roll < 0.35:
+            vid = bad("V") if rng.random() < 0.03 else (
+                rng.choice(vids) if vids and rng.random() < 0.04 else f"v{len(vids)}")
+            vids.append(vid)
+            line = f"vertex{sp()}{vid}"
+        elif roll < 0.8:
+            eid = bad("E") if rng.random() < 0.03 else (
+                rng.choice(eids) if eids and rng.random() < 0.04 else f"e{len(eids)}")
+            eids.append(eid)
+            src, dst = pick(vids, "S", "zz"), pick(vids, "D", "zz")
+            line = f"edge{sp()}{eid}{opt()}:{opt()}{src}{opt()}->{opt()}{dst}"
+        elif roll < 0.86:
+            line = rng.choice(_UNRECOGNIZED)
+        elif roll < 0.93:
+            line = rng.choice(["", "   ", "\t"])
+        else:
+            line = "# " + rng.choice(["note", "vertex zz", "edge x : a -> b"])
+        if rng.random() < 0.2:
+            line = rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t"])
+        if rng.random() < 0.15:
+            line += f"{opt()}# trailing {rng.randint(0, 9)}"
+        lines.append(line)
+    return "".join(line + rng.choice(["\n", "\n", "\r\n", "\r"]) for line in lines)
+
+
+def test_parse_matches_the_line_by_line_oracle(rng):
+    """The one-pattern parser gives the oracle's graph, or its refusal with
+    the same message and line, on random texts that cover every refusal."""
+    from oracles import parse_graph_by_lines
+
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except DslError as err:
+            return str(err), err.line
+
+    kinds = ("invalid id", "duplicate vertex id", "duplicate edge id", "unknown vertex",
+             "unrecognized line")
+    seen = collections.Counter()
+    for _ in range(3000):
+        text = _random_dsl(rng)
+        got = outcome(parse_graph, text)
+        assert got == outcome(parse_graph_by_lines, text), text
+        if isinstance(got, tuple):
+            kind = next(k for k in kinds if got[0].startswith(k))
+            seen[got[0][12] if kind == "invalid id" else kind] += 1  # the position tag
+        else:
+            seen["graph"] += 1
+    assert set(seen) == {"graph", "V", "E", "S", "D", *kinds[1:]}, seen
+    assert min(seen.values()) >= 20 and seen["graph"] >= 500, seen
 
 
 def test_parse_empty_and_comments():

@@ -210,6 +210,16 @@ def test_jeong_park_precondition():
         G.jeong_park_subgraph(single_loop(), set(), set())
 
 
+def test_jeong_park_refuses_an_edge_with_a_known_id_and_other_endpoints():
+    g = G.DirectedGraph.build(["v", "w"], [("e", "v", "v"), ("f", "v", "v"), ("a", "v", "w"),
+                                           ("g", "w", "w"), ("h", "w", "w")])
+    v, w = g.vertex("v"), g.vertex("w")
+    assert G.jeong_park_subgraph(g, set(), {g.edge("a")}).edges
+    for stray in (G.Edge("a", w, v), G.Edge("e", w, w), G.Edge("x", v, v)):
+        with pytest.raises(ContractViolation, match=f"^edge {stray.id} not in graph$"):
+            G.jeong_park_subgraph(g, set(), {stray})
+
+
 def test_jeong_park_properties(rng):
     for _ in range(100):
         g = random_condition_k_graph(rng)
@@ -327,8 +337,14 @@ def test_blowup_lookups_refuse_what_is_not_there():
         with pytest.raises(ContractViolation):
             bg.vertex_of_path(p)
     v, top = g.vertex("v"), bg.vertex_of_path(Path((e,)))
-    with pytest.raises(ContractViolation, match="not an edge"):
-        bg.walk_into(Path((G.Edge("x", v, v),)), top)
+    for stray in (G.Edge("x", v, v), G.Edge("e", G.Vertex("zz"), v)):
+        with pytest.raises(ContractViolation, match="not an edge of the base graph"):
+            bg.walk_into(Path((stray,)), top)
+    em = bg.graph.edges[0]
+    assert bg.pair_of_edge(em) == (e, Path.at(v))
+    for stray in (G.Edge(em.id, em.range, em.range), G.Edge("e", em.source, em.range)):
+        with pytest.raises(ContractViolation, match="not an edge of the blow-up"):
+            bg.pair_of_edge(stray)
     with pytest.raises(ContractViolation, match="ends at"):
         bg.walk_into(Path.at(stranger.vertex("w")), top)
     with pytest.raises(ContractViolation, match="ends at"):

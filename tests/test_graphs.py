@@ -103,6 +103,50 @@ def test_duplicate_vertex_id_rejected():
         G.DirectedGraph([G.Vertex("a"), G.Vertex("a")], [])
 
 
+def test_duplicate_edge_and_dangling_edge_rejected():
+    a, b = G.Vertex("a"), G.Vertex("b")
+    with pytest.raises(ContractViolation, match="^duplicate edge id e$"):
+        G.DirectedGraph([a, b], [G.Edge("e", a, b), G.Edge("f", b, a), G.Edge("e", b, b)])
+    for stray in (G.Edge("x", a, G.Vertex("zz")), G.Edge("x", G.Vertex("zz"), a)):
+        with pytest.raises(ContractViolation,
+                           match="^edge x has an endpoint outside the graph$"):
+            G.DirectedGraph([a, b], [G.Edge("e", a, b), stray])
+    # the edges are checked in order, each for its id and then its endpoints
+    with pytest.raises(ContractViolation, match="^edge x has an endpoint"):
+        G.DirectedGraph([a], [G.Edge("x", a, b), G.Edge("x", a, a)])
+    with pytest.raises(ContractViolation, match="^duplicate edge id x$"):
+        G.DirectedGraph([a], [G.Edge("x", a, a), G.Edge("x", a, b)])
+    with pytest.raises(ContractViolation, match="^duplicate vertex id a$"):
+        G.DirectedGraph([a, a], [G.Edge("x", a, b)])
+
+
+def test_graph_looks_up_equal_vertex_copies_by_id():
+    """Endpoints that equal graph vertices but are other objects are accepted,
+    and every lookup takes a copy as well as the vertex itself."""
+    a, b = G.Vertex("a"), G.Vertex("b")
+    e, f = G.Edge("e", G.Vertex("a"), G.Vertex("b")), G.Edge("f", G.Vertex("b"), G.Vertex("b"))
+    g = G.DirectedGraph([a, b], [e, f])
+    assert g.out_edges(G.Vertex("a")) == (e,) and g.out_edges(b) == (f,)
+    assert g.in_edges(G.Vertex("b")) == (e, f) and g.in_edges(a) == ()
+    assert g.vertex_index(G.Vertex("b")) == 1 and g.has_vertex(G.Vertex("a"))
+    assert g.vertex("b") is b and g.edge("f") is f
+    assert g.edge_position(G.Edge("f", b, b)) == 1
+    assert g.edge_position(G.Edge("f", a, b)) is None  # a known id with other endpoints
+    assert g == G.DirectedGraph.build(["a", "b"], [("e", "a", "b"), ("f", "b", "b")])
+
+
+def test_graph_refuses_lookups_of_what_it_does_not_have():
+    g = two_loop()
+    assert not g.has_vertex(G.Vertex("w")) and g.edge_position(G.Edge("x", *g.vertices * 2)) is None
+    for lookup in (g.out_edges, g.in_edges, g.vertex_index):
+        with pytest.raises(KeyError, match=r"Vertex\(w\)"):
+            lookup(G.Vertex("w"))
+    with pytest.raises(ContractViolation, match="^no vertex named w$"):
+        g.vertex("w")
+    with pytest.raises(ContractViolation, match="^no edge named v$"):
+        g.edge("v")
+
+
 def test_path_extend_is_concatenation_with_one_edge(rng):
     """p.extend(e) equals p * Path((e,)) with the hash of the path built from
     scratch, and refuses an edge that does not leave p's range."""
