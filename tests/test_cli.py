@@ -35,7 +35,7 @@ def test_parse_two_loop():
     assert [e.id for e in g.edges] == ["e", "f"]
 
 
-@pytest.mark.parametrize("text, message, line", [
+_PARSE_ERRORS = [
     ("edge e : v -> w\n", "unknown vertex v", 1),
     ("vertex v\nedge e : v -> w\n", "unknown vertex w", 2),
     ("vertex v\nvertex v\n", "duplicate vertex id v", 2),
@@ -44,11 +44,14 @@ def test_parse_two_loop():
     ("vertex v\n\nedge e:v -> v.w # x\n", "invalid id 'v.w'", 3),
     ("whatever\n", "unrecognized line 'whatever'", 1),
     ("vertex v  # c\r\nvertex v w\r\n", "unrecognized line 'vertex v w'", 2),
-])
-def test_parse_errors(text, message, line):
-    with pytest.raises(DslError) as err:
-        parse_graph(text)
-    assert str(err.value) == f"{message} at line {line}" and err.value.line == line
+]
+
+
+def test_parse_errors():
+    for text, message, line in _PARSE_ERRORS:
+        with pytest.raises(DslError) as err:
+            parse_graph(text)
+        assert str(err.value) == f"{message} at line {line}" and err.value.line == line, text
 
 
 _SPACE = [" ", " ", " ", "  ", "\t", "\u00a0", "\x1f"]
