@@ -6,19 +6,18 @@ rules cannot reach stay unknown rather than being guessed.
 A hereditary saturated set H is a union of strongly connected components
 closed under successors, so its two ideal pieces are decided on g itself.  Let
 Z be the cycle vertices, B those with one first-return path and R those that
-reach Z.  The quotient by H keeps exactly the cycles outside H, so it is
-acyclic iff Z <= H.  The restriction to H keeps its components, their
-first-return counts and every path from H, so it is purely infinite iff H
-misses B and H <= R.
+reach Z; one `_cycle_sets` call gives all three.  Condition (K) holds iff B is
+empty, and g is purely infinite iff also R is every vertex.  The quotient by H
+keeps exactly the cycles outside H, so it is acyclic iff Z <= H.  The
+restriction to H keeps its components, their first-return counts and every
+path from H, so it is purely infinite iff H misses B and H <= R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import (DirectedGraph, Vertex, enumerate_hereditary_saturated,
-                     every_vertex_connects_to_cycle, first_return_counts,
-                     is_acyclic, reaching, satisfies_condition_K,
+from .graphs import (DirectedGraph, _cycle_sets, enumerate_hereditary_saturated,
                      satisfies_condition_L)
 
 CITE_AF = "graph algebras of acyclic graphs are approximately finite dimensional: nuclear dimension 0"
@@ -36,14 +35,8 @@ CITE_NOT_AF = "an algebra of a graph with a cycle is not AF: nuclear dimension a
 def purely_infinite(g: DirectedGraph) -> bool:
     """Pure infiniteness criterion for finite graphs: Condition (K) plus every
     vertex connecting to a cycle."""
-    return satisfies_condition_K(g) and every_vertex_connects_to_cycle(g)
-
-
-def _cycle_sets(g: DirectedGraph) -> tuple[frozenset[Vertex], frozenset[Vertex], set[Vertex]]:
-    """Z, B and R of the module docstring, from one components pass."""
-    counts = first_return_counts(g)
-    cycles = frozenset(v for v, c in counts.items() if c)
-    return cycles, frozenset(v for v, c in counts.items() if c == 1), reaching(g, cycles)
+    _, bare, reach = _cycle_sets(g)
+    return not bare and len(reach) == len(g.vertices)
 
 
 @dataclass
@@ -80,13 +73,14 @@ class Verdict:
 def classify(g: DirectedGraph) -> Verdict:
     """Apply the decision rules in order and return the combined bounds."""
     verdict = Verdict()
-    if is_acyclic(g):
+    cycles, bare, reach = _cycle_sets(g)
+    if not cycles:
         verdict.lower = verdict.upper = 0
         verdict.fire("R0", CITE_AF)
         return verdict
 
     lattice = enumerate_hereditary_saturated(g)
-    if purely_infinite(g):
+    if not bare and len(reach) == len(g.vertices):  # purely infinite
         # finite graph with Condition (K): the gauge-invariant lattice is the
         # whole ideal lattice and it is finite
         verdict.lower = verdict.upper = 1
@@ -103,7 +97,6 @@ def classify(g: DirectedGraph) -> Verdict:
     # a set passing R3 contains Z, and B with it, so B must be empty; the
     # lattice is closed under intersection, so the first set containing Z lies
     # inside every other one, and it passes if any set does
-    cycles, bare, reach = _cycle_sets(g)
     h = next(s for s in lattice if cycles <= s)
     if not bare and h <= reach:
         # the ideal piece has Condition (K), so finitely many ideals; as h
@@ -151,9 +144,9 @@ class IdealReport:
 
 def ideal_report(g: DirectedGraph) -> IdealReport:
     """List the gauge-invariant ideal lattice with per-set diagnostics."""
-    has_k = satisfies_condition_K(g)
-    sets = enumerate_hereditary_saturated(g)
     cycles, bare, reach = _cycle_sets(g)
+    has_k = not bare
+    sets = enumerate_hereditary_saturated(g)
     entries = [IdealEntry(sorted(v.id for v in h), h.isdisjoint(bare) and h <= reach, cycles <= h)
                for h in sets]
     warning = None

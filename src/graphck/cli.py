@@ -30,8 +30,7 @@ from .ktheory import (KTheoryResult, _k_theory_with_certificate, graph_k_theory,
 from .construct import blowup_graph, jeong_park_subgraph
 from .dsl import emit_graph, parse_graph, parse_pathspec
 from .errors import ContractViolation, DslError, GraphckError, ResourceLimit
-from .graphs import (DirectedGraph, every_vertex_connects_to_cycle, is_acyclic,
-                     satisfies_condition_K, sinks)
+from .graphs import DirectedGraph, every_vertex_connects_to_cycle, is_acyclic, sinks
 from .rep import kappa_matrix, approximation_gap
 from .symbolic import (AlgebraMode, commutator_is_zero, edge_isometry,
                        gabe_approximate_identity, iota_image, jm_image,
@@ -83,14 +82,16 @@ def _ktheory_payload(res: KTheoryResult) -> dict:
 
 
 def _analyze(g: DirectedGraph, args):
+    report = ideal_report(g)
+    ends = sinks(g)
     conditions = {
-        "condition_K": satisfies_condition_K(g),
+        "condition_K": report.condition_k,
         "every_vertex_connects_to_cycle": every_vertex_connects_to_cycle(g),
         "acyclic": is_acyclic(g),
-        "sinks": [v.id for v in sinks(g)],
+        "sinks": [v.id for v in ends],
     }
-    ideals = ideal_report(g).as_dict()
-    if sinks(g):
+    ideals = report.as_dict()
+    if ends:
         ktheory = {"skipped": "graph has sinks"}
     else:
         ktheory = _ktheory_payload(graph_k_theory(g))

@@ -10,8 +10,8 @@ ties broken by edge-id sequence.
 from __future__ import annotations
 
 from .errors import ContractViolation
-from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, cycle_vertices,
-                     first_return_counts, reaching, unique_first_return)
+from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, _cycle_sets,
+                     first_return_counts, unique_first_return)
 
 
 # synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
@@ -161,12 +161,10 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
     for e in f_set:
         if g.edge_position(e) is None:
             raise ContractViolation(f"edge {e.id} not in graph")
-    counts = first_return_counts(g)
-    bad = next((v for v in g.vertices if counts[v] == 1), None)
+    cyc, bare, reach = _cycle_sets(g)
+    bad = next((v for v in g.vertices if v in bare), None)
     if bad is not None:
         raise ContractViolation(f"ambient graph fails Condition (K) at {bad.id}")
-    cyc = cycle_vertices(g)
-    reach = reaching(g, cyc)
     bad = next((v for v in g.vertices if v not in reach), None)
     if bad is not None:
         raise ContractViolation(f"vertex {bad.id} does not connect to a cycle")

@@ -541,6 +541,15 @@ def every_vertex_connects_to_cycle(g: DirectedGraph) -> bool:
     return len(reaching(g, cycle_vertices(g))) == len(g.vertices)
 
 
+def _cycle_sets(g: DirectedGraph) -> tuple[frozenset[Vertex], frozenset[Vertex], set[Vertex]]:
+    """(Z, B, R): the cycle vertices, the vertices with exactly one
+    first-return path and the vertices that reach Z, from one components pass."""
+    counts = _return_counts(g)
+    cycles = frozenset(v for v, c in zip(g.vertices, counts) if c)
+    bare = frozenset(v for v, c in zip(g.vertices, counts) if c == 1)
+    return cycles, bare, reaching(g, cycles)
+
+
 def _as_vertex_set(g: DirectedGraph, s: Iterable[Vertex]) -> frozenset[Vertex]:
     out = frozenset(s)
     for v in out:

@@ -75,16 +75,13 @@ class RepOperator:
         return RepOperator(self.matrix.star(), self.star_creations, self.creations)
 
 
-def _basis_bound(max_basis: int | None) -> tuple[int, str]:
-    """The basis-size bound and the knob that sets it: an explicit argument
-    wins over GRAPHCK_MAX_BASIS, which wins over the default."""
-    if max_basis is not None:
-        return max_basis, "max_basis"
+def _basis_bound() -> int:
+    """The basis-size bound: GRAPHCK_MAX_BASIS when set, else the default."""
     env = os.environ.get("GRAPHCK_MAX_BASIS")
     if not env:
-        return DEFAULT_MAX_BASIS, "GRAPHCK_MAX_BASIS"
+        return DEFAULT_MAX_BASIS
     try:
-        return int(env), "GRAPHCK_MAX_BASIS"
+        return int(env)
     except ValueError:
         raise ContractViolation(
             f"GRAPHCK_MAX_BASIS must be an integer, got {env!r}") from None
@@ -127,10 +124,10 @@ class TruncatedRep:
     a basis `Path`: `basis` and `index` are views that build them on demand.
     """
 
-    def __init__(self, graph: DirectedGraph, cutoff: int, max_basis: int | None = None):
+    def __init__(self, graph: DirectedGraph, cutoff: int):
         if cutoff < 1:
             raise ContractViolation("cutoff must be positive")
-        bound, knob = _basis_bound(max_basis)
+        bound = _basis_bound()
         self.graph = graph
         self.cutoff = cutoff
         tree = self.tree = PathTree(graph)
@@ -140,7 +137,7 @@ class TruncatedRep:
             if len(tree) > bound:
                 raise ResourceLimit(
                     f"truncated basis has {len(tree)} paths of length <= {length}, over "
-                    f"the bound {bound}; lower the cutoff or raise {knob}")
+                    f"the bound {bound}; lower the cutoff or raise GRAPHCK_MAX_BASIS")
         self.offsets: list[int] = tree.offsets
         self.dimension = len(tree)
         self.index: Mapping[Path, int] = _BasisIndex(tree)
@@ -209,8 +206,8 @@ class TruncatedRep:
         return RepOperator(total, creations, star_creations)
 
 
-def build_rep(g: DirectedGraph, cutoff: int, max_basis: int | None = None) -> TruncatedRep:
-    return TruncatedRep(g, cutoff, max_basis)
+def build_rep(g: DirectedGraph, cutoff: int) -> TruncatedRep:
+    return TruncatedRep(g, cutoff)
 
 
 def _unit(rep: TruncatedRep, mu: Path, nu: Path) -> Injection:
@@ -280,22 +277,25 @@ def kappa_matrix(m: int) -> KappaMatrix:
     return KappaMatrix(m, rows)
 
 
+def _window_weights(kappa: KappaMatrix, shift: int, a: int, b: int) -> dict[int, Fraction]:
+    """The weight of each extension length t, ascending, for which legs of
+    lengths a and b, both extended by t, land in [shift, shift+m)."""
+    t_lo = max(0, shift - min(a, b))
+    t_hi = max(t_lo, shift + kappa.m - max(a, b))
+    return {t: kappa.entry0(a + t - shift, b + t - shift) for t in range(t_lo, t_hi)}
+
+
 def _windowed_sum(rep: TruncatedRep, m: int, shift: int, mu: Path, nu: Path) -> RepOperator:
     """Sum of weighted matrix units over shared extensions whose lengths land
-    in [shift, shift+m) on both legs."""
-    if mu.range != nu.range:
-        raise ContractViolation("legs must share their range")
+    in [shift, shift+m) on both legs, which share their range."""
     a, b = len(mu), len(nu)
     # the longest extended leg has length shift+m-1 and its projection needs one more
     if shift + m > rep.cutoff:
         raise ContractViolation(
             f"cutoff {rep.cutoff} too small for window [{shift},{shift + m})")
-    kappa = kappa_matrix(m)
-    t_lo = max(0, shift - min(a, b))
-    t_hi = max(t_lo, shift + m - max(a, b))
-    weights = {t: kappa.entry0(a + t - shift, b + t - shift) for t in range(t_lo, t_hi)}
+    weights = _window_weights(kappa_matrix(m), shift, a, b)
     # e_{mu tau, nu tau} for each extension tau: the word map T_mu T_nu*
-    # restricted to the columns nu tau with |tau| in [t_lo, t_hi)
+    # restricted to the columns nu tau whose length |tau| has a weight
     mu_map = rep.tree.prefix_map(mu)
     nu_map = rep.tree.prefix_map(nu)
     total = RatMatrix(rep.dimension, rep.dimension)
@@ -408,14 +408,10 @@ def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
     if mu.range != nu.range:
         raise ContractViolation("legs must share their range")
     kappa = kappa_matrix(m)
-    half = ceil(m / 2)
     terms: dict[Word, Fraction] = {}
     tree = PathTree(g, (mu.range,))  # the extensions tau, grown as far as needed
-    for shift in (m, m + half):
-        t_lo = max(0, shift - min(a, b))
-        t_hi = max(t_lo, shift + m - max(a, b))
-        for t in range(t_lo, t_hi):
-            c = kappa.entry0(a + t - shift, b + t - shift)
+    for shift in (m, m + kappa.half):
+        for t, c in _window_weights(kappa, shift, a, b).items():
             if not c:
                 continue
             while len(tree.offsets) < t + 2:

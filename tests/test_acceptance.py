@@ -127,7 +127,8 @@ def test_c03_compacts_suite():
                         lhs, RepOperator(rhs, lhs.creations, lhs.star_creations)), name
 
 
-def test_c04_inclusion_suite():
+def test_c04_inclusion_suite(monkeypatch):
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "400000")
     with _budget("C4 inclusion family and embedded-path identities", 60):
         for name, make in REP_CORPUS.items():
             g = make()
@@ -138,7 +139,7 @@ def test_c04_inclusion_suite():
                     {e: G.iota_image(bg, e) for e in g.edges}, TOEPLITZ)
                 assert check.ok, (name, m, check.failed_relation)
                 em = bg.graph
-                repm = G.build_rep(em, 2 * m + 2, max_basis=400_000)
+                repm = G.build_rep(em, 2 * m + 2)
                 for mu in paths(g, 0, 2 * m + 1):
                     img = G.embed_path(bg, mu)
                     lhs_sym = path_isometry(em, img)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import graphck as G
 
 from conftest import (dumbbell, full_two_vertex, mixed_m, random_graph,
@@ -114,6 +116,16 @@ def test_mixed_m_feeds_rule_r3_not_r1():
     v = G.classify(mixed_m())
     fired = {r.rule for r in v.rules_fired}
     assert "R1" not in fired and "R3" in fired
+
+
+def test_acyclic_verdict_comes_before_the_lattice():
+    # 21 isolated vertices have 2^21 hereditary saturated sets, past
+    # MAX_LATTICE_SETS, but an acyclic graph is decided without them
+    g = G.DirectedGraph.build([f"v{i}" for i in range(21)])
+    with pytest.raises(G.ResourceLimit):
+        G.enumerate_hereditary_saturated(g)
+    v = G.classify(g)
+    assert (v.lower, v.upper) == (0, 0) and [r.rule for r in v.rules_fired] == ["R0"]
 
 
 def test_single_loop_abstains():

@@ -241,6 +241,52 @@ def test_jeong_park_names_first_failing_vertex_whatever_the_hash_seed(tmp_path):
         assert "fails Condition (K) at a" in run.stderr, (seed, run.stderr)
 
 
+def test_jeong_park_refuses_a_vertex_that_reaches_no_cycle(tmp_path, capsys):
+    # Condition (K) holds (v has two loops, the sinks u and w have no cycle),
+    # so the refusal names the first vertex that reaches no cycle
+    p = tmp_path / "tail.g"
+    p.write_text("vertex u\nvertex v\nvertex w\n"
+                 "edge e : v -> v\nedge f : v -> v\nedge a : v -> w\nedge b : v -> u\n")
+    assert main(["jeong-park", "--vertices", "v", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex u does not connect to a cycle\n"
+
+
+def _count_components(monkeypatch) -> list[int]:
+    """Count Tarjan runs: wrap `graphs._components` under every name a graphck
+    module bound it to, as `perfbench/tracing.install` wraps its targets."""
+    original = sys.modules["graphck.graphs"]._components
+    runs = [0]
+
+    def counted(succ):
+        runs[0] += 1
+        return original(succ)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "graphck" or name.startswith("graphck.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return runs
+
+
+def test_cycle_facts_take_one_tarjan_run_per_consumer(monkeypatch, capsys):
+    runs = _count_components(monkeypatch)
+    # analyze: ideal report 2, classify 2, connects-to-cycle 1, acyclic 1
+    for command, most in (("analyze", 6), ("classify", 2), ("ideals", 2)):
+        runs[0] = 0
+        assert main([command, str(CORPUS_DIR / "mixed.g")]) == 0
+        assert runs[0] <= most, (command, runs[0])
+    # both jeong-park preconditions read one derivation; this graph passes
+    # Condition (K) and fails the second, so nothing else runs
+    g = G.DirectedGraph.build(["v", "w"], [("e", "v", "v"), ("f", "v", "v"), ("a", "v", "w")])
+    runs[0] = 0
+    with pytest.raises(G.ContractViolation, match="^vertex w does not connect to a cycle$"):
+        G.jeong_park_subgraph(g, set(), set())
+    assert runs[0] == 1
+
+
 def test_kappa_command(capsys):
     assert main(["kappa", "--m", "3", "--json"]) == 0
     rep = _json_out(capsys)

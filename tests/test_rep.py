@@ -109,31 +109,24 @@ def test_max_basis_env_must_be_an_integer(monkeypatch):
         G.build_rep(two_loop(), 3)
 
 
-def test_explicit_max_basis_wins_over_env(monkeypatch):
-    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "5")
-    assert G.build_rep(two_loop(), 3, max_basis=100).dimension == 15
-    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "1000")
-    with pytest.raises(ResourceLimit):
-        G.build_rep(two_loop(), 3, max_basis=5)
+def test_max_basis_message_names_bound_size_and_knob(monkeypatch):
+    # the two-loop basis grows 1, 3, 7, 15: the layer of length 3 crosses 10
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "10")
+    with pytest.raises(ResourceLimit) as err:
+        G.build_rep(two_loop(), 3)
+    msg = str(err.value)
+    assert "15 paths" in msg and "bound 10" in msg and msg.endswith("raise GRAPHCK_MAX_BASIS")
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "15")
     assert G.build_rep(two_loop(), 3).dimension == 15
 
 
-def test_max_basis_message_names_bound_size_and_knob(monkeypatch):
-    # the two-loop basis grows 1, 3, 7, 15: the layer of length 3 crosses 10
-    with pytest.raises(ResourceLimit) as err:
-        G.build_rep(two_loop(), 3, max_basis=10)
-    msg = str(err.value)
-    assert "15 paths" in msg and "bound 10" in msg and "max_basis" in msg
-    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "10")
-    with pytest.raises(ResourceLimit, match="raise GRAPHCK_MAX_BASIS"):
-        G.build_rep(two_loop(), 3)
-
-
-def test_max_basis_counts_the_vertex_layer():
+def test_max_basis_counts_the_vertex_layer(monkeypatch):
     g = G.DirectedGraph.build(["u", "v", "w"])
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "2")
     with pytest.raises(ResourceLimit, match="3 paths of length <= 0"):
-        G.build_rep(g, 1, max_basis=2)
-    assert G.build_rep(g, 1, max_basis=3).dimension == 3
+        G.build_rep(g, 1)
+    monkeypatch.setenv("GRAPHCK_MAX_BASIS", "3")
+    assert G.build_rep(g, 1).dimension == 3
 
 
 def test_vertex_projections_sum_to_identity():
@@ -641,13 +634,14 @@ def _rows(op: G.RepOperator) -> list:
 
 
 # sha256 of the basis, offsets and operator matrices at cutoff 1..5 on the
-# graphs of `test_basis_and_operators_are_pinned`.  Basis order fixes every
+# graphs of `test_basis_and_operators_are_pinned`, and of each graph's
+# refusal of a basis over a GRAPHCK_MAX_BASIS bound.  Basis order fixes every
 # matrix index the representation reports: update this digest only as a
 # declared result change.
-REP_DIGEST = "11792bff04996f7864b2ff645dd7d84571d47c4b43c1ed5c4b7d6d6adbb90f23"
+REP_DIGEST = "0c928a0c9ce98b51c85e795a1856e7a2e0c09b190fc4b011c736e3cc3c269d6d"
 
 
-def test_basis_and_operators_are_pinned():
+def test_basis_and_operators_are_pinned(monkeypatch):
     rng = random.Random(60311)
     graphs = [two_loop(), mixed_m(), two_cycle()]
     graphs += [random_graph(rng, max_vertices=3, max_edges=4) for _ in range(4)]
@@ -666,7 +660,8 @@ def test_basis_and_operators_are_pinned():
                 ops += [G.band_compression(rep, m, w) for w in words]
             digest.update(repr(([p.id for p in rep.basis], rep.offsets,
                                 [_rows(op) for op in ops])).encode())
-        with pytest.raises(ResourceLimit) as err:
-            G.build_rep(g, 5, max_basis=len(g.vertices) + len(g.edges) - 1)
+        with monkeypatch.context() as env, pytest.raises(ResourceLimit) as err:
+            env.setenv("GRAPHCK_MAX_BASIS", str(len(g.vertices) + len(g.edges) - 1))
+            G.build_rep(g, 5)
         digest.update(str(err.value).encode())
     assert digest.hexdigest() == REP_DIGEST
