@@ -210,7 +210,7 @@ def _approx(g: DirectedGraph, args):
         "max_coefficient": str(gap.max_coefficient),
         "k_values": [str(v) for v in gap.coefficients.values],
         "max_defect": str(gap.coefficients.max_defect),
-        "difference_terms": len(gap.difference.terms),
+        "difference_terms": gap.difference_terms,
     }
     lines = [f"max |coefficient| of the gap: {gap.max_coefficient}",
              f"per-length coefficient sums: "

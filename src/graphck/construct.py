@@ -10,8 +10,8 @@ ties broken by edge-id sequence.
 from __future__ import annotations
 
 from .errors import ContractViolation
-from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, _cycle_sets,
-                     first_return_counts, unique_first_return)
+from .graphs import (DirectedGraph, Edge, Path, PathTree, Vertex, _components,
+                     _counts_in_components, _cycle_sets, _first_return, _out_ranges)
 
 
 # synthesized ids must stay DSL-legal ([A-Za-z0-9_]+) so the emitted graph
@@ -189,14 +189,17 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
     # close up Condition (K): a pass adds, for each vertex with a unique
     # first-return path, a cycle through one of its vertices that leaves by a
     # different edge; each pass strictly grows the edge set, so this stops.
+    # One components run per pass serves the counts and every return path.
     sub = subgraph(chosen)
     for _ in range(len(g.edges) + 1):
-        counts = first_return_counts(sub)
-        deficient = [v for v in sub.vertices if counts[v] == 1]
+        succ = _out_ranges(sub)
+        comp, ncomp = _components(succ)
+        counts = _counts_in_components(succ, comp, ncomp)
+        deficient = [i for i, c in enumerate(counts) if c == 1]
         if not deficient:
             return sub
-        for w in deficient:
-            ret = unique_first_return(sub, w)
+        for i in deficient:
+            ret = _first_return(sub, succ, comp, i)
             added = False
             for n in range(len(ret)):
                 u = ret.edges[n].source
@@ -208,6 +211,6 @@ def jeong_park_subgraph(g: DirectedGraph, v_set, f_set) -> DirectedGraph:
                     break
             if not added:
                 raise ContractViolation(
-                    f"no alternative cycle exists through the cycle at {w.id}")
+                    f"no alternative cycle exists through the cycle at {sub.vertices[i].id}")
         sub = subgraph(chosen)
     raise AssertionError("closure did not stabilize")

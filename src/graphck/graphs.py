@@ -454,7 +454,11 @@ def _components(succ: list[list[int]]) -> tuple[list[int], int]:
 def _return_counts(g: DirectedGraph) -> list[int]:
     """`first_return_counts` by vertex index."""
     succ = _out_ranges(g)
-    comp, n = _components(succ)
+    return _counts_in_components(succ, *_components(succ))
+
+
+def _counts_in_components(succ: list[list[int]], comp: list[int], n: int) -> list[int]:
+    """`_return_counts` from succ = `_out_ranges(g)` and its components."""
     most = [0] * n  # per component: most edges one vertex sends into it
     for v, ws in enumerate(succ):
         c = comp[v]
@@ -493,8 +497,13 @@ def unique_first_return(g: DirectedGraph, v: Vertex) -> Path | None:
     is a bare cycle.
     """
     succ = _out_ranges(g)
-    comp, _ = _components(succ)
-    start = g.vertex_index(v)
+    return _first_return(g, succ, _components(succ)[0], g.vertex_index(v))
+
+
+def _first_return(g: DirectedGraph, succ: list[list[int]], comp: list[int],
+                  start: int) -> Path | None:
+    """`unique_first_return` at vertex index start, from succ = `_out_ranges(g)`
+    and its components."""
     walk: list[Edge] = []
     x = start
     while not walk or x != start:

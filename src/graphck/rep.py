@@ -29,9 +29,9 @@ from math import ceil
 
 from .construct import BlowupGraph, embed_path
 from .errors import ContractViolation, ResourceLimit
-from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, sinks
+from .graphs import DirectedGraph, Edge, Path, PathTree, Vertex, _out_ranges, sinks
 from .sparse import Injection, RatMatrix
-from .symbolic import AlgebraMode, FormalSum, Word, iota_word_image, normal_form
+from .symbolic import FormalSum, Word, _leveling_depth
 
 DEFAULT_MAX_BASIS = 200_000
 
@@ -381,21 +381,73 @@ def k_coefficients(m: int, a: int, b: int) -> KCoefficients:
 
 @dataclass
 class ApproximationGap:
-    """Canonical form of (compressed image) - (inclusion image) of a word."""
+    """Size of the canonical form of (compressed image) - (inclusion image)
+    of a word: its number of terms and its largest absolute coefficient."""
 
-    difference: FormalSum
+    difference_terms: int
     max_coefficient: Fraction
     coefficients: KCoefficients
+
+
+def _leaf_counts(succ: list[list[int]], ks: set[int]) -> dict[int, list[int]]:
+    """L(v, k) by vertex index v for each k in ks, on succ = `_out_ranges(g)`:
+    the number of words that leveling k edges further makes of a word whose
+    left leg ends at v.  L(v, k) is 1 when k = 0 or v is a sink, and otherwise
+    the sum of L(r(e), k - 1) over the out-edges e of v; each layer is built
+    once, from the one before."""
+    layer = [1] * len(succ)
+    out = {}
+    for k in range(max(ks) + 1):
+        if k:
+            layer = [sum([layer[w] for w in ws]) if ws else 1 for ws in succ]
+        if k in ks:
+            out[k] = layer
+    return out
 
 
 def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
                       depth: int | None = None) -> ApproximationGap:
     """Gap between the two windowed compressions of s_mu s_nu* (pushed into
-    the blow-up algebra) and the inclusion image, in canonical form.
+    the blow-up algebra) and the inclusion image, leveled in Cuntz-Krieger
+    mode at `depth` (by default the longest left leg of the gap): the number
+    of its terms and its largest absolute coefficient, counted without
+    listing the terms.  The coefficients that survive are exactly
+    1 - K_{m,i}, so the largest reports the approximation quality of the
+    compression pair.
 
-    Expressed over the blow-up graph in Cuntz-Krieger mode; the coefficients
-    that survive are exactly 1 - K_{m,i}, so the largest absolute coefficient
-    reports the approximation quality of the compression pair.
+    The count rests on a lemma about leveling.  A word's trunk is what is
+    left after stripping the longest common suffix of its two legs (a
+    tensored word keeps its matrix unit).  Leveling extends both legs by the
+    same edge, so it sends a word only to words with the same trunk, and
+    distinct trunks have disjoint sets of extensions: the normal form splits
+    by trunk.  The words with trunk (alpha, beta) are (alpha lam, beta lam)
+    for the paths lam from r(alpha).  A leaf lam is a path of the remaining
+    depth, or a shorter path that ends at a sink, and its coefficient is the
+    sum of the coefficients on the prefixes of lam that are in the support.
+    So one walk over each trunk's trie gives both numbers, with the leaves
+    below a node counted by L(v, k) (`_leaf_counts`).
+
+    The tries come from the blow-up walks, not from words.  The sum is
+    w(|tau|) s_{mu tau} s_{nu tau}* over the extensions tau of r(mu), with
+    w(t) the two windows' weights of length t, minus the inclusion image.
+    The embeddings of mu tau and nu tau end at one vertex and share their
+    last |tau| edges, the walk of tau, which starts at the blow-up vertex
+    X = [tau]_m (`BlowupGraph.walk_into`).  So the term of tau is
+    (A_X P, B_X P), with A_X and B_X the walks of mu and nu into X and P the
+    walk of tau, and the inclusion image is the term of the empty tau at
+    each X, with coefficient -1.  The terms at X lie in the trunk of
+    (A_X, B_X), below its common suffix, which ends at X; terms at distinct
+    X differ in the vertex |mu| edges into the left leg.  So the trie splits
+    into one subtrie at each X.  A walk from X whose length t is congruent
+    to |X| mod m ends at a vertex of length 0 and is the walk of the tau it
+    carries, so the support below X fills the levels of those t with
+    w(t) != 0, and each leaf below X has the coefficient -1 + the sum of
+    those w(t).  The walk goes down from X to the last such level and counts
+    the leaves below it there.  The base graph has no sink, so neither has
+    the blow-up: every leaf has the full depth.
+
+    m > |mu|, |nu| puts every weighted t past 0, so no term cancels the
+    inclusion image, and the longest left leg is |mu| plus the largest t.
     """
     g = bg.base
     m = bg.m
@@ -408,17 +460,29 @@ def approximation_gap(bg: BlowupGraph, mu: Path, nu: Path,
     if mu.range != nu.range:
         raise ContractViolation("legs must share their range")
     kappa = kappa_matrix(m)
-    terms: dict[Word, Fraction] = {}
-    tree = PathTree(g, (mu.range,))  # the extensions tau, grown as far as needed
+    weight: dict[int, Fraction] = {}
     for shift in (m, m + kappa.half):
         for t, c in _window_weights(kappa, shift, a, b).items():
-            if not c:
-                continue
-            while len(tree.offsets) < t + 2:
-                tree.grow()
-            for tau in tree.paths[tree.offsets[t]:tree.offsets[t + 1]]:
-                w = Word(embed_path(bg, mu * tau), embed_path(bg, nu * tau))
-                terms[w] = terms[w] + c if w in terms else c
-    diff = normal_form(FormalSum(bg.graph, terms) - iota_word_image(bg, mu, nu),
-                       AlgebraMode.CUNTZ_KRIEGER, depth)
-    return ApproximationGap(diff, diff.max_abs_coefficient(), k_coefficients(m, a, b))
+            if c:
+                weight[t] = weight[t] + c if t in weight else c
+    embed_path(bg, mu)  # refuses a leg that is not a path of the base graph
+    embed_path(bg, nu)
+    below = _leveling_depth(a + max(weight), depth) - a  # the leaves' depth under X
+    # by the length of X mod m: the last weighted level and the leaves' coefficient
+    last = [max((t for t in weight if t % m == r), default=0) for r in range(m)]
+    coef = [sum((c for t, c in weight.items() if t % m == r), Fraction(-1)) for r in range(m)]
+    succ = _out_ranges(bg.graph)
+    leaves = _leaf_counts(succ, {below - t for t in last})
+    terms = 0
+    top = Fraction(0)
+    for x in bg.tree.from_vertex[mu.range]:
+        r = bg.tree.length(x)
+        if not coef[r]:
+            continue
+        level = [x]
+        for _ in range(last[r]):
+            level = [w for v in level for w in succ[v]]
+        count = leaves[below - last[r]]
+        terms += sum([count[v] for v in level])
+        top = max(top, abs(coef[r]))
+    return ApproximationGap(terms, top, k_coefficients(m, a, b))

@@ -158,9 +158,6 @@ class FormalSum:
     def star(self) -> "FormalSum":
         return FormalSum(self.graph, {w.star(): c for w, c in self.terms.items()})
 
-    def max_abs_coefficient(self) -> Fraction:
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormalSum) and self.graph == other.graph
                 and self.terms == other.terms)
@@ -182,6 +179,18 @@ def edge_isometry(g: DirectedGraph, e: Edge) -> FormalSum:
     return FormalSum.of(g, Word(Path((e,)), Path.at(e.range)))
 
 
+def _leveling_depth(longest: int, depth: int | None) -> int:
+    """The depth to level a sum whose longest left leg has length `longest`
+    at: `depth`, or `longest` when it is None.  A shallower depth is refused,
+    since leveling never shortens a word."""
+    if depth is None:
+        return longest
+    if depth < longest:
+        raise ContractViolation(
+            f"leveling depth {depth} is below the longest left leg {longest}")
+    return depth
+
+
 def normal_form(a: FormalSum, mode: AlgebraMode, depth: int | None = None) -> FormalSum:
     """Canonical form at the given depth.
 
@@ -194,12 +203,7 @@ def normal_form(a: FormalSum, mode: AlgebraMode, depth: int | None = None) -> Fo
     if mode is AlgebraMode.TOEPLITZ:
         return FormalSum(a.graph, a.terms)
     g = a.graph
-    longest = max((len(w.alpha) for w in a.terms), default=0)
-    if depth is None:
-        depth = longest
-    elif depth < longest:
-        raise ContractViolation(
-            f"leveling depth {depth} is below the longest left leg {longest}")
+    depth = _leveling_depth(max((len(w.alpha) for w in a.terms), default=0), depth)
     out: dict[Word, Fraction] = {}
     stack = list(a.terms.items())
     while stack:

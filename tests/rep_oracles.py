@@ -9,7 +9,9 @@ injection as the dict-of-dicts `RatMatrix` the library used before
 `Injection`, for the differential tests of the injection algebra.  The
 matrix-unit rule check, the two Schur routes for the weight matrix and the
 window-to-blow-up map lambda live here too, as does the double-precision
-norm estimate: only tests use them.
+norm estimate: only tests use them.  `gap_difference` lists the leveled
+approximation gap term by term, the route `approximation_gap` took before it
+counted the terms per trunk.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 import graphck
 from graphck.construct import BlowupGraph, embed_path
 from graphck.errors import ContractViolation
-from graphck.graphs import Path, paths
-from graphck.rep import KappaMatrix, RepOperator, TruncatedRep
+from graphck.graphs import Path, PathTree, paths, sinks
+from graphck.rep import KappaMatrix, RepOperator, TruncatedRep, _window_weights, kappa_matrix
 from graphck.sparse import RatMatrix
-from graphck.symbolic import FormalSum, Word
+from graphck.symbolic import AlgebraMode, FormalSum, Word, iota_word_image, normal_form
 
 
 # rep -> edge -> T_e; no caller mutates a RepOperator or its matrix, so the
@@ -194,3 +196,33 @@ def operator_norm(mat: RatMatrix | np.ndarray, iterations: int = 200) -> float:
             break
         last = norm
     return float(np.sqrt(norm))
+
+
+def gap_difference(bg: BlowupGraph, mu: Path, nu: Path, depth: int | None = None) -> FormalSum:
+    """The leveled approximation gap of s_mu s_nu*, listed: one word per
+    extension tau and window, minus the inclusion image, in normal form.
+    Refuses what `approximation_gap` refuses, in the same order."""
+    g = bg.base
+    m = bg.m
+    bad = sinks(g)
+    if bad:
+        raise ContractViolation(f"base graph has a sink ({bad[0].id})")
+    a, b = len(mu), len(nu)
+    if not (m > a and m > b):
+        raise ContractViolation("need m greater than both leg lengths")
+    if mu.range != nu.range:
+        raise ContractViolation("legs must share their range")
+    kappa = kappa_matrix(m)
+    terms: dict[Word, Fraction] = {}
+    tree = PathTree(g, (mu.range,))  # the extensions tau, grown as far as needed
+    for shift in (m, m + kappa.half):
+        for t, c in _window_weights(kappa, shift, a, b).items():
+            if not c:
+                continue
+            while len(tree.offsets) < t + 2:
+                tree.grow()
+            for tau in tree.paths[tree.offsets[t]:tree.offsets[t + 1]]:
+                w = Word(embed_path(bg, mu * tau), embed_path(bg, nu * tau))
+                terms[w] = terms[w] + c if w in terms else c
+    return normal_form(FormalSum(bg.graph, terms) - iota_word_image(bg, mu, nu),
+                       AlgebraMode.CUNTZ_KRIEGER, depth)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -285,6 +286,39 @@ def test_cycle_facts_take_one_tarjan_run_per_consumer(monkeypatch, capsys):
     with pytest.raises(G.ContractViolation, match="^vertex w does not connect to a cycle$"):
         G.jeong_park_subgraph(g, set(), set())
     assert runs[0] == 1
+
+
+def test_jeong_park_closure_takes_one_tarjan_run_per_pass(monkeypatch):
+    # ring i -> i+1 and, for even i, i -> i+2: one run for the preconditions,
+    # then one per closure pass, and the second pass finds nothing to add
+    n = 50
+    g = G.DirectedGraph.build(
+        [f"v{i}" for i in range(n)],
+        [(f"a{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+        + [(f"b{i}", f"v{i}", f"v{(i + 2) % n}") for i in range(0, n, 2)])
+    runs = _count_components(monkeypatch)
+    sub = G.jeong_park_subgraph(g, {g.vertex("v0")}, set())
+    assert runs[0] == 3
+    assert G.satisfies_condition_K(sub)
+
+
+def test_approx_on_five_loops_runs_in_256_mib(tmp_path):
+    """The leveled gap is counted, not listed: on one vertex with 5 loops it
+    has 484375 terms, which listing them could not hold in 256 MiB."""
+    p = tmp_path / "loops.g"
+    p.write_text("vertex v0\n" + "".join(f"edge e{i} : v0 -> v0\n" for i in range(5)))
+    src = os.path.dirname(os.path.dirname(G.__file__))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+    run = subprocess.run(
+        [sys.executable, "-m", "graphck.cli", "approx", "--m", "3", "--mu", "e0", "--nu", "v0",
+         "--json", str(p)], env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap,
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)["result"]
+    assert result["difference_terms"] == 484375
+    assert result["max_coefficient"] == "2/3"
 
 
 def test_kappa_command(capsys):

@@ -12,9 +12,10 @@ import pytest
 import graphck as G
 from graphck.errors import ContractViolation, GraphckError, ResourceLimit
 from graphck.graphs import Path, paths, paths_from
-from graphck.rep import KappaMatrix, compression_route
+from graphck.rep import KappaMatrix, _window_weights, compression_route
 from graphck.sparse import RatMatrix
-from graphck.symbolic import FormalSum, Word, iota_path_image, vertex_projection
+from graphck.symbolic import (AlgebraMode, FormalSum, Word, iota_path_image, normal_form,
+                              vertex_projection)
 
 import rep_oracles
 from conftest import (REP_CORPUS, mixed_m, random_graph, single_edge, single_loop,
@@ -540,7 +541,7 @@ def test_prop26_two_loop_m2_exactly_zero():
     bg = G.blowup_graph(g, 2)
     v = Path.at(g.vertex("v"))
     gap = G.approximation_gap(bg, v, v)
-    assert gap.max_coefficient == 0 and gap.difference.is_zero()
+    assert gap.max_coefficient == 0 and gap.difference_terms == 0
 
 
 def test_prop26_matches_coefficient_table():
@@ -564,7 +565,7 @@ def _sorted_terms(s: FormalSum) -> str:
 # 1..4, on the graphs of `test_embedding_inclusion_and_gap_are_pinned`: the
 # embedded id of every path of length <= 2m+1, the inclusion image of every
 # path of length <= m+1 and of every generator, and the sorted difference
-# terms of sampled gaps.  `approx`
+# terms of sampled gaps, listed by `rep_oracles.gap_difference`.  `approx`
 # and `verify-hom --which iota` read these: update only as a declared result
 # change.
 EMBEDDING_DIGEST = "a0f7c5c750b6b26676b3a2f852fd73bdb9445432956472464d2d8452a27d875f"
@@ -591,11 +592,161 @@ def test_embedding_inclusion_and_gap_are_pinned():
             legs = paths(g, 0, m)
             pairs = [(mu, nu) for mu in legs for nu in legs if mu.range == nu.range]
             for mu, nu in rng.sample(pairs, min(3, len(pairs))):
-                gap = G.approximation_gap(bg, mu, nu)
-                digest.update(_sorted_terms(gap.difference).encode())
+                gap = rep_oracles.gap_difference(bg, mu, nu)
+                digest.update(_sorted_terms(gap).encode())
+                assert G.approximation_gap(bg, mu, nu).difference_terms == len(gap.terms)
                 gaps += 1
     assert gaps > 30
     assert digest.hexdigest() == EMBEDDING_DIGEST
+
+
+def _longest_left_leg(m: int, a: int, b: int) -> int:
+    """|mu| plus the longest extension that either window weights."""
+    kappa = G.kappa_matrix(m)
+    return a + max(t for shift in (m, m + kappa.half)
+                   for t in _window_weights(kappa, shift, a, b))
+
+
+def _gap_or_refusal(gap, bg, mu, nu, depth):
+    try:
+        return gap(bg, mu, nu, depth)
+    except ContractViolation as err:
+        return str(err)
+
+
+def _max_abs(s: FormalSum) -> Fraction:
+    return max((abs(c) for c in s.terms.values()), default=Fraction(0))
+
+
+_GAP_REFUSALS = ("base graph has a sink", "need m greater than both leg lengths",
+                 "legs must share their range", "leveling depth")
+
+
+def test_gap_counts_match_the_listing_oracle():
+    """The per-trunk count against the listed normal form: seeded sink-free
+    graphs at m = 1..3, legs that share a suffix, depths past the longest
+    left leg, and every refusal in the same order with the same message."""
+    rng = random.Random(23017)
+    suffixed = G.DirectedGraph.build(["x", "y"], [("a", "x", "y"), ("b", "y", "y"),
+                                                  ("c", "y", "x")])
+    graphs = [suffixed, two_loop(), mixed_m()]
+    graphs += [random_graph(rng, max_vertices=3, max_edges=4, no_sinks=True) for _ in range(16)]
+    counted, refused = 0, set()
+    for g in graphs:
+        # the listing grows exponentially with m and the depth
+        for m in (1, 2, 3) if len(g.edges) < 3 or g is suffixed else (1, 2):
+            bg = G.blowup_graph(g, m)
+            legs = paths(g, 0, m + 1)
+            pairs = [(mu, nu) for mu in legs for nu in legs if len(mu) < m and len(nu) < m]
+            cases = rng.sample(pairs, min(3, len(pairs)))
+            cases += [(rng.choice(legs), rng.choice(legs)) for _ in range(2)]
+            if g is suffixed and m == 3:  # a.b and b share the suffix b
+                cases.append((Path((g.edge("a"), g.edge("b"))), Path((g.edge("b"),))))
+            for mu, nu in cases:
+                depths = [None]
+                if len(mu) < m and len(nu) < m and mu.range == nu.range:
+                    top = _longest_left_leg(m, len(mu), len(nu))
+                    depths += [top - 1, top, top + 1 + rng.randint(0, 1)]
+                for depth in depths:
+                    want = _gap_or_refusal(rep_oracles.gap_difference, bg, mu, nu, depth)
+                    got = _gap_or_refusal(G.approximation_gap, bg, mu, nu, depth)
+                    if isinstance(want, str):
+                        assert got == want, (g, m, mu.id, nu.id, depth)
+                        refused.add(next(r for r in _GAP_REFUSALS if want.startswith(r)))
+                    else:
+                        assert (got.difference_terms, got.max_coefficient) == (
+                            len(want.terms), _max_abs(want)), (g, m, mu.id, nu.id, depth)
+                        counted += 1
+    assert counted > 200 and refused == set(_GAP_REFUSALS)
+
+
+def _trunk(w: Word) -> tuple[Word, tuple]:
+    """(trunk, common suffix): w's legs without their longest common suffix,
+    with w's matrix unit."""
+    a, b = w.alpha.edges, w.beta.edges
+    k = 0
+    while k < min(len(a), len(b)) and a[-1 - k] == b[-1 - k]:
+        k += 1
+    end = a[len(a) - k].source if k else w.alpha.range
+
+    def cut(es):
+        return Path(es[:len(es) - k]) if len(es) > k else Path.at(end)
+    return Word(cut(a), cut(b), w.unit), a[len(a) - k:]
+
+
+def _trie_walk(g, trunk: Word, support: dict[tuple, Fraction], depth: int) -> tuple[int, Fraction]:
+    """Nonzero leaves and largest |coefficient| of one trunk's normal form,
+    by a walk over the trie of its support: a leaf's coefficient is the sum
+    on its prefixes in the support, and L(v, k) counts the leaves below a
+    node that no longer meets the support."""
+    def leaves(v, k):
+        out = g.out_edges(v)
+        return 1 if k == 0 or not out else sum(leaves(e.range, k - 1) for e in out)
+
+    prefixes = {s[:i] for s in support for i in range(len(s) + 1)}
+    count, top = 0, Fraction(0)
+    stack = [((), trunk.alpha.range, support.get((), Fraction(0)))]
+    while stack:
+        node, v, acc = stack.pop()
+        k = depth - len(trunk.alpha) - len(node)
+        if k == 0 or not g.out_edges(v):
+            if acc:
+                count, top = count + 1, max(top, abs(acc))
+            continue
+        for e in g.out_edges(v):
+            child = node + (e,)
+            if child in prefixes:
+                stack.append((child, e.range, acc + support.get(child, Fraction(0))))
+            elif acc:
+                count, top = count + leaves(e.range, k - 1), max(top, abs(acc))
+    return count, top
+
+
+def test_leveling_splits_by_trunk():
+    """The lemma in `approximation_gap`'s docstring, on random sums with and
+    without matrix units: the normal form is the disjoint union of the normal
+    forms of the sum's trunks, each of them made of words of that trunk, and
+    the walk over each trunk's trie gives its term count and its largest
+    |coefficient|."""
+    rng = random.Random(7741)
+    checked = 0
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=3, max_edges=5)
+        short = paths(g, 0, 3)
+        tensored = rng.random() < 0.4
+        terms: dict[Word, Fraction] = {}
+        for _ in range(rng.randint(1, 8)):
+            alpha = rng.choice(short)
+            beta = rng.choice([p for p in short if p.range == alpha.range])
+            unit = (rng.choice(short), rng.choice(short)) if tensored else None
+            w = Word(alpha, beta, unit)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            terms[w] = terms.get(w, 0) + c
+            if rng.random() < 0.4:  # cancel part of w against its extensions
+                for e in g.out_edges(alpha.range):
+                    x = Word(alpha.extend(e), beta.extend(e), unit)
+                    terms[x] = terms.get(x, 0) - c
+        s = FormalSum(g, terms)
+        longest = max((len(w.alpha) for w in s.terms), default=0)
+        depth = longest + rng.randint(0, 2)
+        whole = normal_form(s, AlgebraMode.CUNTZ_KRIEGER, depth)
+        by_trunk: dict[Word, dict[Word, Fraction]] = {}
+        for w, c in s.terms.items():
+            by_trunk.setdefault(_trunk(w)[0], {})[w] = c
+        union: dict[Word, Fraction] = {}
+        count, top = 0, Fraction(0)
+        for trunk, part in by_trunk.items():
+            leveled = normal_form(FormalSum(g, part), AlgebraMode.CUNTZ_KRIEGER, depth)
+            assert all(_trunk(w)[0] == trunk for w in leveled.terms)
+            assert not union.keys() & leveled.terms.keys()
+            union.update(leveled.terms)
+            n, t = _trie_walk(g, trunk, {_trunk(w)[1]: c for w, c in part.items()}, depth)
+            assert (n, t) == (len(leveled.terms), _max_abs(leveled))
+            count, top = count + n, max(top, t)
+        assert union == whole.terms
+        assert (count, top) == (len(whole.terms), _max_abs(whole))
+        checked += len(by_trunk)
+    assert checked > 150
 
 
 def test_prop26_preconditions():
